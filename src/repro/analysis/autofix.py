@@ -8,8 +8,8 @@ Only rewrites with exactly one correct answer are applied:
   must sit on a single line; multi-line calls and functions with no
   in-scope context are refused, not guessed at.
 - **SUP-01** — a malformed-but-recoverable suppression comment (wrong
-  separator, stray spacing) is normalized to the canonical
-  ``# pmlint: disable=RULE — reason`` form.  A suppression with no
+  separator, stray spacing) is normalized to the canonical form,
+  e.g. ``# pmlint: disable=DET-01 — reason``.  A suppression with no
   reason text is refused: the fixer will not invent an argument.
 
 A line already carrying a pmlint suppression is never rewritten — the

@@ -20,8 +20,7 @@ PMLint DET-01 clean so an instrumented run replays byte-identically):
   from the digest's centroids on demand (:attr:`Histogram.counts`),
   and the snapshot emits them **sparsely** — zero-count buckets are
   dropped, only the terminal ``{"le": null}`` overflow entry is always
-  present.  The old bucket-edge answer remains as
-  :meth:`Histogram.bucket_quantile` (now over derived counts).
+  present.
 
 Snapshots are plain dicts (JSON-ready) so ``repro-stats`` can export
 them and CI can schema-check the output; the document carries
@@ -180,28 +179,6 @@ class Histogram:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile {q} outside [0, 1]")
         return self.digest.quantile(q)
-
-    def bucket_quantile(self, q):
-        """The fixed-bucket answer: upper bound of the bucket holding
-        the quantile (the pre-digest behaviour, kept for comparison
-        and for consumers that must match the ``le`` snapshot).
-
-        The overflow bucket reports the observed maximum (the honest
-        answer — its upper edge is unbounded).
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for index, bucket_count in enumerate(self.counts):
-            seen += bucket_count
-            if seen >= rank and bucket_count:
-                if index < len(self.bounds):
-                    return self.bounds[index]
-                return self.max
-        return self.max
 
     def reset(self):
         self.total = 0.0

@@ -40,13 +40,24 @@ TWO_HOP_BAD = (
     "        self.commit(ctx)\n"
 )
 
+# The one-function case: a commit that flushes, never fences and has no
+# callers that could.
+FLUSH_NO_FENCE = (
+    "class Slab:\n"
+    "    def commit(self, ctx):\n"
+    "        self.region.write(0, b'x', ctx)\n"
+    "        self.region.flush(0, 1, ctx, 'persist')\n"
+    "        self.committed = True\n"
+)
+
 
 class TestFenceDomination:
     def test_two_hop_undrained_chain_flagged(self):
-        findings = program_findings({SCOPED_PATH: TWO_HOP_BAD})
-        assert [f.rule for f in findings] == ["PM-I01"]
-        assert findings[0].line == 4  # the flush itself, not the callers
-        assert "caller chain" in findings[0].message
+        for source in (TWO_HOP_BAD, FLUSH_NO_FENCE):
+            findings = program_findings({SCOPED_PATH: source})
+            assert [f.rule for f in findings] == ["PM-I01"]
+            assert findings[0].line == 4  # the flush, not the callers
+            assert "caller chain" in findings[0].message
 
     def test_witness_chain_names_the_callers(self):
         (finding,) = program_findings({SCOPED_PATH: TWO_HOP_BAD})
@@ -228,33 +239,10 @@ class TestRefcountBalance:
 
 
 class TestSupersession:
-    FLUSH_NO_FENCE = (
-        "def commit(region, blob, ctx):\n"
-        "    region.write(0, blob)\n"
-        "    region.flush(0, len(blob), ctx)\n"
-    )
-
-    def test_local_rules_skipped_in_interproc_mode(self):
-        module = pmlint.ModuleSource(SCOPED_PATH, self.FLUSH_NO_FENCE)
-        found = pmlint.lint_module(module, interprocedural=True)
-        assert "PM-W01" not in {f.rule for f in found}
-
-    def test_local_rules_run_without_interproc(self):
-        module = pmlint.ModuleSource(SCOPED_PATH, self.FLUSH_NO_FENCE)
-        found = pmlint.lint_module(module, interprocedural=False)
-        assert "PM-W01" in {f.rule for f in found}
-
-    def test_explicit_select_overrides_supersession(self):
-        module = pmlint.ModuleSource(SCOPED_PATH, self.FLUSH_NO_FENCE)
-        found = pmlint.lint_module(module, select={"PM-W01"},
-                                   interprocedural=True)
-        assert {f.rule for f in found} == {"PM-W01"}
-
     def test_interproc_rules_tagged(self):
         tagged = {rule.id for rule in pmlint.iter_rules()
                   if rule.interprocedural}
         assert tagged == {"PM-I01", "REF-I01"}
-        assert tagged & pmlint.SUPERSEDED_BY_INTERPROC == set()
 
 
 class TestSelfTest:

@@ -24,6 +24,12 @@ def lint_source(source, select=None, path=SCOPED_PATH):
     return pmlint.lint_module(module, select=select)
 
 
+def lint_program_source(source, path=SCOPED_PATH):
+    """Whole-program findings for one virtual module (PM-I01, REF-I01)."""
+    found, _program = pmlint.lint_program([pmlint.ModuleSource(path, source)])
+    return found
+
+
 def active(findings, rule=None):
     return [f for f in findings
             if not f.suppressed and (rule is None or f.rule == rule)]
@@ -49,14 +55,15 @@ class TestFlushFenceRules:
     )
 
     def test_flush_without_fence_flagged(self):
-        findings = active(lint_source(self.MISSING_FENCE), rule="PM-W01")
+        findings = active(lint_program_source(self.MISSING_FENCE),
+                          rule="PM-I01")
         assert len(findings) == 1
         assert findings[0].line == 3
         assert findings[0].severity == "warn"
 
     def test_fence_after_flush_clean(self):
         source = self.MISSING_FENCE + "    region.fence(ctx)\n"
-        assert not active(lint_source(source), rule="PM-W01")
+        assert not active(lint_program_source(source), rule="PM-I01")
 
     def test_block_device_sync_counts_as_fence(self):
         source = (
@@ -74,45 +81,61 @@ class TestFlushFenceRules:
             "    if fence:\n"
             "        region.fence(ctx)\n"
         )
-        assert not active(lint_source(source), rule="PM-W01")
+        assert not active(lint_program_source(source), rule="PM-I01")
 
 
 class TestSuppressions:
     def test_inline_suppression_with_reason_honored(self):
         source = (
-            "def commit(region, blob, ctx):\n"
+            "def stage(region, blob, ctx):\n"
+            f"    {DISABLE}=PM-W02 — caller flushes after the batch\n"
             "    region.write(0, blob)\n"
-            f"    {DISABLE}=PM-W01 — caller fences after the batch\n"
-            "    region.flush(0, len(blob), ctx)\n"
         )
         findings = lint_source(source)
         suppressed = [f for f in findings if f.suppressed]
         assert len(suppressed) == 1
-        assert suppressed[0].rule == "PM-W01"
-        assert "caller fences" in suppressed[0].reason
-        assert not active(findings, rule="PM-W01")
+        assert suppressed[0].rule == "PM-W02"
+        assert "caller flushes" in suppressed[0].reason
+        assert not active(findings, rule="PM-W02")
 
     def test_suppression_without_reason_is_sup01_error(self):
         source = (
-            "def commit(region, blob, ctx):\n"
-            "    region.write(0, blob)\n"
-            f"    region.flush(0, len(blob), ctx)  {DISABLE}=PM-W01\n"
+            "def stage(region, blob, ctx):\n"
+            f"    region.write(0, blob)  {DISABLE}=PM-W02\n"
         )
         findings = active(lint_source(source), rule="SUP-01")
         assert len(findings) == 1
         assert findings[0].severity == "error"
 
     def test_unparseable_control_comment_is_sup01(self):
-        source = f"X = 1  {DISABLE} PM-W01 oops\n"
+        source = f"X = 1  {DISABLE} PM-W02 oops\n"
         assert active(lint_source(source), rule="SUP-01")
+
+    @pytest.mark.parametrize("rule_id", ["NOPE-99", "PM-W01", "REF-01"])
+    def test_unknown_rule_id_is_sup01_error(self, rule_id):
+        source = (
+            f"X = 1  {DISABLE}=DET-01, {rule_id} — typo in the rule id\n"
+        )
+        findings = active(lint_source(source), rule="SUP-01")
+        assert len(findings) == 1
+        assert findings[0].line == 1
+        assert findings[0].severity == "error"
+        assert rule_id in findings[0].message
+
+    def test_unknown_file_wide_rule_id_fails_the_cli(self, tmp_path, capsys):
+        target = tmp_path / "mod.py"
+        target.write_text(f"{DISABLE}-file=NOPE-99 — typo in the rule id\n"
+                          "X = 1\n")
+        assert lint_main([str(target), "--no-cache"]) == 1
+        assert "unknown rule NOPE-99" in capsys.readouterr().out
 
     def test_suppression_does_not_leak_to_other_rules(self):
         source = (
-            "def commit(region, blob, ctx):\n"
+            "def stage(region, blob, ctx):\n"
             f"    {DISABLE}=DET-01 — wrong rule named\n"
-            "    region.flush(0, 64, ctx)\n"
+            "    region.write(0, blob)\n"
         )
-        assert active(lint_source(source), rule="PM-W01")
+        assert active(lint_source(source), rule="PM-W02")
 
 
 class TestDeterminismRule:
@@ -179,7 +202,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("PM-W01", "PM-W02", "REF-01", "DET-01",
+        for rule_id in ("PM-I01", "PM-W02", "REF-I01", "DET-01",
                         "CTX-01", "SUP-01"):
             assert rule_id in out
 

@@ -88,15 +88,6 @@ class TestHistogram:
         assert hist.mean == 6.0
         assert Histogram("empty", bounds=(10,)).mean == 0.0
 
-    def test_bucket_quantile_reports_bucket_upper_bound(self):
-        hist = Histogram("h", bounds=(10, 100, 1000))
-        for _ in range(90):
-            hist.observe(5)       # bucket <=10
-        for _ in range(10):
-            hist.observe(50)      # bucket <=100
-        assert hist.bucket_quantile(0.5) == 10
-        assert hist.bucket_quantile(0.99) == 100
-
     def test_quantile_is_digest_backed(self):
         # quantile() now answers from the t-digest: the median of 90
         # fives and 10 fifties is 5, not the bucket edge 10.
@@ -113,7 +104,6 @@ class TestHistogram:
         hist = Histogram("h", bounds=(10,))
         hist.observe(123456)
         assert hist.quantile(0.99) == 123456
-        assert hist.bucket_quantile(0.99) == 123456
 
     def test_quantile_range_checked(self):
         hist = Histogram("h", bounds=(10,))

@@ -1,9 +1,9 @@
 """Golden-trace equivalence: "faster" must never mean "different".
 
 The fixtures under tests/fixtures/speed_golden_*.json were captured
-from the canned wall-clock scenarios (repro.bench.speed) BEFORE the
-raw-speed overhaul of the dispatch/checksum/header/device hot paths,
-via ``repro-bench-speed --golden``.  Each one pins the simulated
+from the canned scenarios in repro.bench.speed BEFORE the raw-speed
+overhaul of the dispatch/checksum/header/device hot paths, via
+``python -m repro.bench.speed --golden``.  Each one pins the simulated
 results of a seeded run:
 
 - the sha256 of the exact fired-event sequence (time, seq, callback),
@@ -28,7 +28,7 @@ import os
 
 import pytest
 
-from repro.bench.speed import SCENARIOS, run_scenario
+from repro.bench.speed import SCENARIOS
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -52,7 +52,7 @@ def test_fixture_exists(name):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_reproduces_golden_fixture(name):
-    golden = run_scenario(name, scale=1.0, golden=True)["golden"]
+    golden = SCENARIOS[name]()
     with open(_fixture_path(name)) as handle:
         fixture_bytes = handle.read()
     fixture = json.loads(fixture_bytes)
@@ -72,11 +72,8 @@ def test_scenario_reproduces_golden_fixture(name):
 
 def test_goldens_are_deterministic_run_to_run():
     """Two in-process runs of the same scenario agree exactly."""
-    first = run_scenario("novelsm-ingest-recovery", scale=0.2, golden=True)
-    second = run_scenario("novelsm-ingest-recovery", scale=0.2, golden=True)
-    assert first["golden"] == second["golden"]
-    assert first["ops"] == second["ops"]
-    assert first["events"] == second["events"]
+    scenario = SCENARIOS["novelsm-ingest-recovery"]
+    assert scenario() == scenario()
 
 
 def test_event_digest_covers_order():
