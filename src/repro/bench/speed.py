@@ -1,6 +1,6 @@
 """Golden-digest scenarios: the pin behind "faster must not mean different".
 
-Four canned, fully deterministic scenarios (seeded workloads, fixed
+Five canned, fully deterministic scenarios (seeded workloads, fixed
 simulated durations) each build a *golden document* of their simulated
 results:
 
@@ -11,7 +11,11 @@ results:
 - ``novelsm-ingest-recovery`` — direct NoveLSM ingest into PM, a
                              deterministic crash, and reattach,
 - ``cluster-2shard``       — sharded PUT storm over a 2-host
-                             replicated cluster (sync acks).
+                             replicated cluster (sync acks),
+- ``pktstore-reclaim-recovery`` — YCSB-A over TCP into a PacketStore
+                             whose pool pressure triggers emergency
+                             reclaim (``PacketStore.gc``), then a crash
+                             and ``PacketStore.recover``.
 
 The committed captures live in ``tests/fixtures/speed_golden_*.json``
 and tests/test_speed_equivalence.py asserts every scenario still
@@ -37,7 +41,9 @@ from repro.bench.workloads import YcsbWorkload, ZipfianGenerator
 from repro.bench.wrk import HomaWrkClient, WrkClient
 from repro.cluster.topology import ClusterConfig, build_cluster, \
     preload_cluster
+from repro.core.pktstore import PacketStore
 from repro.net.checksum import crc32c
+from repro.net.pool import BufferPool
 from repro.pm.device import PMDevice
 from repro.pm.namespace import PMNamespace
 from repro.sim.context import NULL_CONTEXT
@@ -88,6 +94,31 @@ def _stats_golden(stats):
     }
 
 
+def _run_golden(sim, client):
+    """Run ``client`` under an event digest; the shared golden fields."""
+    digest = _EventDigest(sim)
+    stats = client.run()
+    return {
+        "event_digest": digest.hexdigest(),
+        "events_fired": sim.events_fired,
+        "sim_now_ns": sim.now,
+        "stats": _stats_golden(stats),
+    }
+
+
+def _mapping_digest(pairs):
+    """sha256 over (key, sha256(value)) pairs, in the order given."""
+    mapping_hash = hashlib.sha256()
+    for key, val in pairs:
+        mapping_hash.update(key)
+        mapping_hash.update(hashlib.sha256(val).digest())
+    return mapping_hash.hexdigest()
+
+
+def _int_list_digest(values):
+    return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
+
+
 # ------------------------------------------------------------------ scenarios
 
 def scenario_wrk_tcp():
@@ -101,13 +132,8 @@ def scenario_wrk_tcp():
         duration_ns=20_000_000.0, warmup_ns=2_000_000.0,
         workload=workload,
     )
-    digest = _EventDigest(testbed.sim)
-    stats = client.run()
     return {
-        "event_digest": digest.hexdigest(),
-        "events_fired": testbed.sim.events_fired,
-        "sim_now_ns": testbed.sim.now,
-        "stats": _stats_golden(stats),
+        **_run_golden(testbed.sim, client),
         "reads": workload.issued_reads,
         "writes": workload.issued_writes,
         "metrics": testbed.metrics.snapshot(),
@@ -124,13 +150,8 @@ def scenario_homa_storm():
         testbed.client, SERVER_IP, connections=12, value_size=512,
         method="PUT", duration_ns=10_000_000.0, warmup_ns=2_000_000.0,
     )
-    digest = _EventDigest(testbed.sim)
-    stats = client.run()
     return {
-        "event_digest": digest.hexdigest(),
-        "events_fired": testbed.sim.events_fired,
-        "sim_now_ns": testbed.sim.now,
-        "stats": _stats_golden(stats),
+        **_run_golden(testbed.sim, client),
         "metrics": testbed.metrics.snapshot(),
     }
 
@@ -170,10 +191,6 @@ def scenario_novelsm_ingest_recovery():
     device.crash()  # rng=None: deterministic conservative drop
     recovered_ns = PMNamespace.reopen(device)
     recovered = novelsm_reattach(recovered_ns, arena_size=64 << 20, seed=5)
-    mapping_hash = hashlib.sha256()
-    for key, val in sorted(recovered.scan()):
-        mapping_hash.update(key)
-        mapping_hash.update(hashlib.sha256(val).digest())
     journal_hash = hashlib.sha256()
     for op in journal.ops:
         journal_hash.update(
@@ -182,7 +199,7 @@ def scenario_novelsm_ingest_recovery():
         )
     return {
         "count_recovered": recovered.count_recovered,
-        "recovered_digest": mapping_hash.hexdigest(),
+        "recovered_digest": _mapping_digest(sorted(recovered.scan())),
         "journal_digest": journal_hash.hexdigest(),
         "stores": device.tracker.stores,
         "flushes": device.tracker.flushes,
@@ -213,13 +230,8 @@ def scenario_cluster_2shard():
         duration_ns=8_000_000.0, warmup_ns=2_000_000.0,
         route=route_ip,
     )
-    digest = _EventDigest(cluster.sim)
-    stats = client.run()
     return {
-        "event_digest": digest.hexdigest(),
-        "events_fired": cluster.sim.events_fired,
-        "sim_now_ns": cluster.sim.now,
-        "stats": _stats_golden(stats),
+        **_run_golden(cluster.sim, client),
         "replication": {name: dict(node.replicator.stats)
                         for name, node in cluster.nodes.items()},
         "apply": {name: dict(node.applier.stats)
@@ -228,11 +240,53 @@ def scenario_cluster_2shard():
     }
 
 
+def scenario_pktstore_reclaim_recovery():
+    """YCSB-A over TCP into a PacketStore under pool pressure, then crash.
+
+    Each 6000-byte value spans five frames: a node record plus a
+    continuation record.  Superseded versions fill the 384-slot rx
+    pool, so the overload controller's emergency reclaim runs
+    ``PacketStore.gc`` repeatedly; the crash then forces
+    ``PacketStore.recover``.  Pins the run's events and metrics, and
+    the recovered mapping, report and free-list order.
+    """
+    config = ServerConfig(engine="pktstore", overload=True, metrics=True,
+                          engine_kwargs={"meta_bytes": 1 << 20})
+    testbed = make_testbed(config=config, pm_bytes=8 << 20,
+                           paste_pool_bytes=384 * 2048)
+    workload = YcsbWorkload(mix="A", key_space=48, value_size=6000, seed=13)
+    client = WrkClient(
+        testbed.client, SERVER_IP, connections=8, value_size=6000,
+        duration_ns=30_000_000.0, warmup_ns=1_000_000.0,
+        workload=workload,
+    )
+    doc = _run_golden(testbed.sim, client)
+    device = testbed.pm_device
+    device.crash()  # rng=None: deterministic conservative drop
+    ns = PMNamespace.reopen(device)
+    pool = BufferPool(ns.open("paste-pktbufs"),
+                      testbed.server.rx_pool.slot_size)
+    store, report = PacketStore.recover(ns.open("pktstore-meta"), pool)
+    return {
+        **doc,
+        "reads": workload.issued_reads,
+        "writes": workload.issued_writes,
+        "overload": dict(testbed.overload.stats),
+        "metrics": testbed.metrics.snapshot(),
+        "recovered_digest": _mapping_digest(store.scan()),
+        "recovered_count": store.count,
+        "report": dict(vars(report)),
+        "pool_free_digest": _int_list_digest(pool._free),
+        "slab_free_digest": _int_list_digest(store.slab._free),
+    }
+
+
 SCENARIOS = {
     "wrk-tcp": scenario_wrk_tcp,
     "homa-storm": scenario_homa_storm,
     "novelsm-ingest-recovery": scenario_novelsm_ingest_recovery,
     "cluster-2shard": scenario_cluster_2shard,
+    "pktstore-reclaim-recovery": scenario_pktstore_reclaim_recovery,
 }
 
 

@@ -33,7 +33,7 @@ from repro.core.ppktbuf import (
     PMetaSlab,
     PPktRecord,
 )
-from repro.core.recovery import RecoveryReport
+from repro.core.recovery import RecoveryReport, adopt_payload, chain_buffers
 from repro.net.checksum import crc32c
 from repro.sim.context import NULL_CONTEXT
 
@@ -89,7 +89,7 @@ class PktFS:
         head_slot = slab.read_root()
         fs = cls(slab, pool, head_slot)
         reachable = {head_slot}
-        materialized = {}
+        chains = {}
         prev = head_slot
         cursor = slab.read_next(head_slot, 0)
         while cursor:
@@ -100,27 +100,13 @@ class PktFS:
                 report.discarded_records += 1
                 break
             reachable.add(slot)
-            refs = []
-            current = record
-            while True:
-                for buf_slot, _off, _len in current.frags:
-                    if buf_slot in materialized:
-                        refs.append(materialized[buf_slot].get())
-                    else:
-                        buf = pool.buffer_at_slot(buf_slot)
-                        materialized[buf_slot] = buf
-                        refs.append(buf)
-                if not current.cont:
-                    break
-                cont_slot = current.cont - 1
-                reachable.add(cont_slot)
-                current = slab.read_record(cont_slot)
-            fs._refs[slot] = refs
-            report.recovered += 1
+            chains[slot] = chain_buffers(slab, record, reachable)
             prev = slot
             cursor = slab.read_next(slot, 0)
+        buffers, fs._refs = adopt_payload(pool, chains)
         slab.adopt_reachable(reachable)
-        report.adopted_buffers = len(materialized)
+        report.recovered = len(chains)
+        report.adopted_buffers = len(buffers)
         return fs, report
 
     # -------------------------------------------------------------- directory

@@ -48,7 +48,7 @@ from repro.core.ppktbuf import (
     PPktRecord,
     SlabExhausted,
 )
-from repro.core.recovery import RecoveryReport
+from repro.core.recovery import RecoveryReport, adopt_payload, chain_buffers
 from repro.net.nic import _tcp_checksum_of_frame
 from repro.net.headers import ETH_HEADER_LEN, IPV4_HEADER_LEN, IPv4Header
 from repro.sim.context import NULL_CONTEXT, ExecutionContext
@@ -100,7 +100,7 @@ class PacketStore:
         head_slot = slab.read_root()
         store = cls(slab, pool, head_slot, 1, _XorShift(seed), verify_on_read)
         reachable = {head_slot}
-        materialized = {}
+        chains = {}
         max_seq = 0
         prev = head_slot
         cursor = slab.read_next(head_slot, 0)
@@ -117,14 +117,12 @@ class PacketStore:
                     report.crc_failures += 1
                 break
             reachable.add(slot)
-            refs = store._adopt_frags(slot, record, slab, materialized, reachable, report)
-            store._refs[slot] = refs
-            store._buffers.update(materialized)
+            chains[slot] = chain_buffers(slab, record, reachable)
             max_seq = max(max_seq, record.seq)
-            store.count += 1
-            report.recovered += 1
             prev = slot
             cursor = slab.read_next(slot, 0)
+        store._buffers, store._refs = adopt_payload(pool, chains)
+        store.count = report.recovered = len(chains)
         # Orphans: slots carrying a valid-looking record that nothing
         # reaches — allocations in flight at the crash.  They simply
         # return to the free list (their magic is left behind, but the
@@ -145,67 +143,53 @@ class PacketStore:
             else:
                 report.discarded_records += 1
                 for buf_slot, _off, _length in record.frags:
-                    if buf_slot not in materialized:
+                    if buf_slot not in store._buffers:
                         reclaimed.add(buf_slot)
         slab.adopt_reachable(reachable)
         report.max_seq = max_seq
         store._seq = max_seq + 1
-        report.adopted_buffers = len(materialized)
+        report.adopted_buffers = len(store._buffers)
         report.reclaimed_buffers = len(reclaimed)
         report.scan_cost_ns = scan_ctx.elapsed
         ctx.merge(scan_ctx)
         return store, report
 
-    def _adopt_frags(self, slot, record, slab, materialized, reachable, report):
-        """Re-take buffer references for a record and its continuations."""
-        refs = []
-        current = record
-        while True:
-            for buf_slot, _off, _length in current.frags:
-                if buf_slot in materialized:
-                    refs.append(materialized[buf_slot].get())
-                else:
-                    buf = self.pool.buffer_at_slot(buf_slot)
-                    materialized[buf_slot] = buf
-                    refs.append(buf)
-            if not current.cont:
-                break
-            cont_slot = current.cont - 1
-            reachable.add(cont_slot)
-            current = slab.read_record(cont_slot)
-        return refs
-
     # ------------------------------------------------------------- traversal
-
-    def _charge_visit(self, ctx, level, advanced=True):
-        # Same cache model as the storage skip list: level 0 cold,
-        # higher cold levels cold only when stepping past a node.
-        cold = level == 0 or (level < COLD_LEVELS and advanced)
-        if cold:
-            self.slab.region.charge_access(ctx, 1, "datamgmt.insert")
-        else:
-            ctx.charge(HOT_VISIT_NS, "datamgmt.insert")
 
     @staticmethod
     def _order(key, seq):
         return (key, MAX_SEQ - seq)
 
     def _find_predecessors(self, order_key, ctx):
+        """Per level, the last slot before ``order_key`` and the link
+        out of it (successor slot + 1, 0 for nil)."""
         preds = [self.head_slot] * MAX_HEIGHT
+        succs = [0] * MAX_HEIGHT
         slot = self.head_slot
+        # Compare on (key, seq) read field by field, and charge inline
+        # with the storage skip list's cache model: level 0 cold, higher
+        # cold levels cold only when stepping past a node.
+        read_next = self.slab.read_next
+        read_order = self.slab.read_order
+        charge = ctx.charge
+        cold_ns = self.slab.region.device.access_ns
         for level in range(MAX_HEIGHT - 1, -1, -1):
-            nxt = self.slab.read_next(slot, level)
+            nxt = read_next(slot, level)
             while nxt:
-                record = self.slab.read_record(nxt - 1)
-                advanced = self._order(record.key, record.seq) < order_key
-                self._charge_visit(ctx, level, advanced)
+                key, seq, _flags = read_order(nxt - 1)
+                advanced = (key, MAX_SEQ - seq) < order_key
+                if level == 0 or (level < COLD_LEVELS and advanced):
+                    charge(cold_ns, "datamgmt.insert")
+                else:
+                    charge(HOT_VISIT_NS, "datamgmt.insert")
                 if advanced:
                     slot = nxt - 1
-                    nxt = self.slab.read_next(slot, level)
+                    nxt = read_next(slot, level)
                 else:
                     break
             preds[level] = slot
-        return preds
+            succs[level] = nxt
+        return preds, succs
 
     def _random_height(self):
         height = 1
@@ -248,7 +232,7 @@ class PacketStore:
             self.pool.region.fence(ctx, "persist")
 
         # 2. Index traversal (the only data-management cost that remains).
-        preds = self._find_predecessors(self._order(key, seq), ctx)
+        preds, succs = self._find_predecessors(self._order(key, seq), ctx)
         height = self._random_height()
 
         # 3. Continuation records for > INLINE_FRAGS fragments.
@@ -288,8 +272,7 @@ class PacketStore:
                 value_len=value_len,
                 cont=cont_slot_plus1,
                 frags=frag_tuples[:INLINE_FRAGS],
-                nexts=[self.slab.read_next(preds[i], i) if i < height else 0
-                       for i in range(MAX_HEIGHT)],
+                nexts=succs[:height] + [0] * (MAX_HEIGHT - height),
             )
             self.slab.write_record(node_slot, record, ctx)
         except Exception:
@@ -324,7 +307,7 @@ class PacketStore:
 
     # ----------------------------------------------------------------- GC
 
-    def _unlink(self, node_slot, record, ctx):
+    def _unlink(self, node_slot, ctx):
         """Remove one node from every level it appears on, then free it.
 
         Crash-consistent the same way insertion is: the level-0 relink
@@ -332,15 +315,14 @@ class PacketStore:
         higher-level hints follow.  A crash between frees leaves
         unreachable records that recovery reclaims.
         """
-        preds = self._find_predecessors(self._order(record.key, record.seq), ctx)
+        record = self.slab.read_record(node_slot)
+        preds, succs = self._find_predecessors(
+            self._order(record.key, record.seq), ctx)
         # Relink top-down so searches racing a crash stay correct.
         for level in range(record.height - 1, -1, -1):
-            if self.slab.read_next(preds[level], level) == node_slot + 1:
-                self.slab.write_next(
-                    preds[level], level,
-                    self.slab.read_next(node_slot, level),
-                    ctx, fence=(level == 0),
-                )
+            if succs[level] == node_slot + 1:
+                self.slab.write_next(preds[level], level, record.nexts[level],
+                                     ctx, fence=(level == 0))
         # Free the continuation chain, then the node.
         cont = record.cont
         while cont:
@@ -365,30 +347,28 @@ class PacketStore:
         """
         victims = []
         last_key = None
-        cursor = self.slab.read_next(self.head_slot, 0)
+        read_next = self.slab.read_next
+        read_order = self.slab.read_order
+        cursor = read_next(self.head_slot, 0)
         while cursor:
             slot = cursor - 1
-            record = self.slab.read_record(slot)
-            cursor = self.slab.read_next(slot, 0)
-            if record.key == last_key:
-                victims.append((slot, record))       # superseded version
+            key, _seq, flags = read_order(slot)
+            cursor = read_next(slot, 0)
+            if key == last_key:
+                victims.append(slot)         # superseded version
             else:
-                last_key = record.key
-                if drop_tombstones and record.tombstone:
-                    victims.append((slot, record))   # newest is a delete
-        for slot, record in victims:
-            self._unlink(slot, record, ctx)
+                last_key = key
+                if drop_tombstones and flags & FLAG_TOMBSTONE:
+                    victims.append(slot)     # newest is a delete
+        for slot in victims:
+            self._unlink(slot, ctx)
         return len(victims)
 
     # ------------------------------------------------------------------- reads
 
     def _first_version_slot(self, key, ctx):
-        preds = self._find_predecessors(self._order(key, MAX_SEQ), ctx)
-        nxt = self.slab.read_next(preds[0], 0)
-        if not nxt:
-            return None
-        record = self.slab.read_record(nxt - 1)
-        if record.key != key:
+        nxt = self._find_predecessors(self._order(key, MAX_SEQ), ctx)[1][0]
+        if not nxt or self.slab.read_order(nxt - 1)[0] != key:
             return None
         return nxt - 1
 

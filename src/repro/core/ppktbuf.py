@@ -65,7 +65,9 @@ INLINE_FRAGS = 4
 MAX_KEY = RECORD_SIZE - 144
 
 _FIXED = struct.Struct("<BBBBHHQQIIQ")  # bytes [8:48)
+_ORDER = struct.Struct("<xBxxH2xQ")     # bytes [8:24): flags, key_len, seq
 _FRAG = struct.Struct("<IHH")
+_NEXTS = struct.Struct(f"<{MAX_HEIGHT}Q")
 _NEXT_OFF = 80
 _KEY_OFF = 144
 _FRAG_OFF = 48
@@ -139,8 +141,7 @@ class PPktRecord:
         blob[4:8] = struct.pack("<I", self.crc())
         blob[8:48] = self._fixed_bytes()
         blob[_FRAG_OFF:_FRAG_OFF + 32] = self._frag_bytes()
-        for index, nxt in enumerate(self.nexts):
-            struct.pack_into("<Q", blob, _NEXT_OFF + 8 * index, nxt)
+        _NEXTS.pack_into(blob, _NEXT_OFF, *self.nexts)
         blob[_KEY_OFF:_KEY_OFF + len(self.key)] = self.key
         return bytes(blob)
 
@@ -156,8 +157,7 @@ class PPktRecord:
         frags = []
         for index in range(nfrags):
             frags.append(_FRAG.unpack_from(blob, _FRAG_OFF + _FRAG.size * index))
-        nexts = [struct.unpack_from("<Q", blob, _NEXT_OFF + 8 * i)[0]
-                 for i in range(MAX_HEIGHT)]
+        nexts = _NEXTS.unpack_from(blob, _NEXT_OFF)
         key = bytes(blob[_KEY_OFF:_KEY_OFF + key_len])
         record = cls(kind, flags, height, key, seq, hw_tstamp, wire_csum,
                      value_len, cont, frags, nexts)
@@ -261,11 +261,15 @@ class PMetaSlab:
         return PPktRecord.decode(self.region.read(self.slot_base(slot), RECORD_SIZE),
                                  check=check)
 
+    def read_order(self, slot):
+        """``(key, seq, flags)`` of a slot's record, what index walks
+        compare on: read in place, no decode, no magic or CRC check."""
+        base = self.slot_base(slot)
+        flags, key_len, seq = self.region.unpack(_ORDER, base + 8)
+        return self.region.read(base + _KEY_OFF, key_len), seq, flags
+
     def read_next(self, slot, level):
-        (nxt,) = struct.unpack(
-            "<Q", self.region.read(self.slot_base(slot) + _NEXT_OFF + 8 * level, 8)
-        )
-        return nxt
+        return self.region.read_u64(self.slot_base(slot) + _NEXT_OFF + 8 * level)
 
     def write_next(self, slot, level, target, ctx=NULL_CONTEXT, fence=True):
         addr = self.slot_base(slot) + _NEXT_OFF + 8 * level

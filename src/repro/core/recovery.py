@@ -37,3 +37,30 @@ class RecoveryReport:
             f"crc_failures={self.crc_failures} "
             f"buffers={self.adopted_buffers}+{self.reclaimed_buffers}r>"
         )
+
+
+def chain_buffers(slab, record, reachable):
+    """Buffer slots of a recovered record's fragments, in order,
+    continuation records included (their slots join ``reachable``)."""
+    buf_slots = [frag[0] for frag in record.frags]
+    while record.cont:
+        reachable.add(record.cont - 1)
+        record = slab.read_record(record.cont - 1)
+        buf_slots.extend(frag[0] for frag in record.frags)
+    return buf_slots
+
+
+def adopt_payload(pool, chains):
+    """Adopt, in one batch, every buffer that recovered records reference.
+
+    ``chains`` maps record slot -> :func:`chain_buffers`, in walk order.
+    Returns ``(buffers, refs)``: buffer slot -> handle in first-reference
+    order, record slot -> one data reference per fragment.
+    """
+    order = dict.fromkeys(b for buf_slots in chains.values() for b in buf_slots)
+    buffers = dict(zip(order, pool.adopt(order)))
+    refs = {slot: [buffers[b].get() for b in buf_slots]
+            for slot, buf_slots in chains.items()}
+    for buf in buffers.values():
+        buf.put()  # the adoption reference: each fragment holds its own
+    return buffers, refs

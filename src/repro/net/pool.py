@@ -203,17 +203,24 @@ class BufferPool:
             raise IndexError(f"slot {slot} out of range")
         return slot * self.slot_size
 
-    def buffer_at_slot(self, slot):
-        """Re-materialise a buffer handle for ``slot`` (recovery path).
+    def adopt(self, slots):
+        """Handles owning ``slots``, now in use (recovery path).
 
-        The slot is marked in-use; the returned handle owns it.
+        One pass over the free list per batch; the slots left free keep
+        their order, as if each adopted slot were removed one by one.
         """
-        if slot in self._in_use:
-            raise RuntimeError(f"slot {slot} already materialised")
-        self._free.remove(slot)
-        self._in_use.add(slot)
+        slots = list(slots)
+        adopted = set()
+        for slot in slots:
+            self.slot_region_base(slot)  # range check
+            if slot in self._in_use or slot in adopted:
+                raise RuntimeError(f"slot {slot} already materialised")
+            adopted.add(slot)
+        self._in_use.update(slots)
+        self._free = [slot for slot in self._free if slot not in adopted]
         self._update_pressure()
-        return PacketBuffer(self, slot, slot * self.slot_size, self.slot_size)
+        return [PacketBuffer(self, slot, slot * self.slot_size, self.slot_size)
+                for slot in slots]
 
     def __repr__(self):
         kind = "PM" if self.persistent else "DRAM"

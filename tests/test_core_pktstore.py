@@ -173,6 +173,63 @@ class TestCrashRecovery:
             assert buf.slot not in adopted
 
 
+    def test_recovery_adoption_keeps_per_slot_removal_order(self):
+        """Batch adoption leaves both free lists exactly as removing each
+        adopted slot one by one, in first-reference order, would."""
+        store, pool, dev, ns = make_store(pool_slots=256, meta_bytes=1 << 16)
+        rng = random.Random(5)
+        for i in range(30):
+            key = f"k{rng.randrange(12)}".encode()
+            # Up to 7 fragments (continuation records), two of them
+            # sometimes sharing one buffer.
+            refs = [(pool.alloc(), 0, 8) for _ in range(rng.randrange(1, 8))]
+            if rng.random() < 0.3:
+                buf = refs[0][0]
+                refs.append((buf.get(), 8, 8))
+            store.put(key, refs, 8 * len(refs), 0, 0)
+            if i % 10 == 9:
+                store.gc()
+        dev.crash()
+        ns2 = PMNamespace.reopen(dev)
+        pool2 = BufferPool(ns2.open("pool"), 2048)
+        store2, report = PacketStore.recover(ns2.open("meta"), pool2)
+
+        expected_pool = list(range(pool2.nslots - 1, -1, -1))
+        expected_slab = list(range(store2.slab.nslots - 1, -1, -1))
+        expected_slab.remove(store2.head_slot)
+        cursor = store2.slab.read_next(store2.head_slot, 0)
+        while cursor:
+            record = store2.slab.read_record(cursor - 1)
+            expected_slab.remove(cursor - 1)
+            cont = record.cont
+            while cont:
+                expected_slab.remove(cont - 1)
+                cont = store2.slab.read_record(cont - 1).cont
+            for buf_slot, _off, _len in store2._all_frags(record):
+                if buf_slot in expected_pool:
+                    expected_pool.remove(buf_slot)
+            cursor = store2.slab.read_next(cursor - 1, 0)
+        assert report.adopted_buffers == pool2.nslots - len(expected_pool)
+        assert pool2._free == expected_pool
+        assert store2.slab._free == expected_slab
+        assert dict(store2.scan()) == dict(store.scan())
+
+    def test_recovery_adoption_refcounts_and_double_adoption(self):
+        store, pool, dev, ns = make_store(pool_slots=16)
+        shared = pool.alloc()
+        store.put(b"a", [(shared, 0, 4), (shared.get(), 4, 4)], 8, 0, 0)
+        store.put(b"b", [(shared.get(), 8, 4)], 4, 0, 0)
+        dev.crash()
+        ns2 = PMNamespace.reopen(dev)
+        pool2 = BufferPool(ns2.open("pool"), 2048)
+        store2, report = PacketStore.recover(ns2.open("meta"), pool2)
+        assert report.adopted_buffers == 1
+        # One data reference per fragment, none for the adoption itself.
+        assert store2.buffer_handle(shared.slot).refcount == 3
+        with pytest.raises(RuntimeError, match="already materialised"):
+            pool2.adopt([shared.slot])
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(0, 99999),

@@ -1,18 +1,21 @@
 """Unit + property tests for persistent packet metadata records."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core.pktstore import PacketStore
 from repro.core.ppktbuf import (
     INLINE_FRAGS,
     KIND_INODE,
     KIND_NODE,
+    MAX_HEIGHT,
     MAX_KEY,
     PMetaSlab,
     PPktRecord,
     RECORD_SIZE,
     SlabExhausted,
 )
+from repro.net.pool import BufferPool
 from repro.pm.device import PMDevice
 from repro.sim import ExecutionContext
 
@@ -158,6 +161,18 @@ class TestSlab:
         # Record still CRC-valid (links excluded from the CRC).
         assert slab.valid_record(slot) is not None
 
+    def test_read_next_is_zero_for_nil_links_at_every_level(self):
+        slab, _ = self.make()
+        slot = slab.alloc()
+        slab.write_record(slot, PPktRecord(key=b"n", height=MAX_HEIGHT))
+        assert [slab.read_next(slot, level) for level in range(MAX_HEIGHT)] \
+            == [0] * MAX_HEIGHT
+        # Setting some links leaves the others nil.
+        slab.write_next(slot, 0, 9)
+        slab.write_next(slot, MAX_HEIGHT - 1, 2**64 - 1)
+        assert [slab.read_next(slot, level) for level in range(MAX_HEIGHT)] \
+            == [9] + [0] * (MAX_HEIGHT - 2) + [2**64 - 1]
+
     def test_root_roundtrip_survives_crash(self):
         slab, dev = self.make()
         slab.write_root(5)
@@ -178,3 +193,42 @@ class TestSlab:
         ctx = ExecutionContext()
         slab.alloc(ctx)
         assert 0 < ctx.category("datamgmt.insert") < 500  # cheaper than PM malloc
+
+
+_KEYS = st.one_of(
+    st.binary(min_size=1, max_size=1),
+    st.binary(min_size=MAX_KEY, max_size=MAX_KEY),
+    st.binary(min_size=1, max_size=MAX_KEY),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=st.lists(
+    st.tuples(st.sampled_from(["put", "delete", "gc"]), _KEYS,
+              st.integers(0, 3 * INLINE_FRAGS + 1)),
+    min_size=1, max_size=25,
+))
+@example(ops=[("put", b"a", 1), ("put", b"k" * MAX_KEY, 2 * INLINE_FRAGS + 1),
+              ("put", b"a", 3), ("delete", b"k" * MAX_KEY, 0), ("gc", b"-", 0),
+              ("put", b"b", INLINE_FRAGS + 1)])
+def test_property_read_order_agrees_with_read_record(ops):
+    """For every live slot, the field reader matches the full decode.
+
+    Live slots are the head, nodes, tombstones and the continuation
+    records of values with more than INLINE_FRAGS fragments.
+    """
+    dev = PMDevice(512 * 2048 + (1 << 20) + (1 << 16))
+    pool = BufferPool(dev.region(0, 512 * 2048, "pool"), 2048)
+    store = PacketStore.create(dev.region(512 * 2048, 1 << 20, "meta"), pool)
+    for op, key, nfrags in ops:
+        if op == "gc":
+            store.gc(drop_tombstones=False)
+        elif op == "delete":
+            store.delete(key)
+        else:
+            frags = [(pool.alloc(), 0, 16) for _ in range(nfrags)]
+            store.put(key, frags, 16 * nfrags, 0, 0)
+    for slot in sorted(store.slab._used):
+        record = store.slab.read_record(slot, check=True)
+        assert store.slab.read_order(slot) == (
+            record.key, record.seq, record.flags)

@@ -66,13 +66,54 @@ class TestBufferPool:
         with pytest.raises(IndexError):
             buf.write(120, b"123456789")
 
-    def test_buffer_at_slot_for_recovery(self):
+    def test_adopt_for_recovery(self):
         pool, _ = make_pool(slots=4)
-        buf = pool.buffer_at_slot(2)
+        (buf,) = pool.adopt([2])
         assert buf.slot == 2
+        assert buf.refcount == 1
         assert pool.in_use == 1
         with pytest.raises(RuntimeError):
-            pool.buffer_at_slot(2)
+            pool.adopt([2])
+
+    def test_adopt_rejects_a_slot_twice_in_one_batch(self):
+        pool, _ = make_pool(slots=4)
+        with pytest.raises(RuntimeError, match="already materialised"):
+            pool.adopt([1, 3, 1])
+        assert pool.in_use == 0
+        assert pool._free == [3, 2, 1, 0]
+
+    def test_adopt_rejects_out_of_range_slot(self):
+        pool, _ = make_pool(slots=4)
+        with pytest.raises(IndexError):
+            pool.adopt([4])
+        assert pool.in_use == 0
+
+    @pytest.mark.parametrize("slots", [[], [0], [5, 2, 7], [7, 6, 5, 4, 3, 2, 1, 0],
+                                       [1, 6, 3, 4]])
+    def test_adopt_keeps_free_order_of_per_slot_removal(self, slots):
+        pool, _ = make_pool(slots=8)
+        first, second = pool.alloc(), pool.alloc()
+        first.put()
+        second.put()  # free list now ends ..., 2, 0, 1: not sorted
+        expected = list(pool._free)
+        for slot in slots:
+            expected.remove(slot)
+        bufs = pool.adopt(slots)
+        assert [buf.slot for buf in bufs] == slots
+        assert pool._free == expected
+        assert pool._in_use == set(slots)
+        # Allocation continues exactly where per-slot removal would.
+        if expected:
+            assert pool.alloc().slot == expected[-1]
+
+    def test_adopt_updates_pressure(self):
+        pool, _ = make_pool(slots=10)
+        events = []
+        pool.add_pressure_listener(lambda _pool, pressured: events.append(pressured))
+        pool.adopt(range(9))
+        assert pool.under_pressure
+        assert pool.pressure_events == 1
+        assert events == [True]
 
     def test_high_water_mark(self):
         pool, _ = make_pool(slots=4)

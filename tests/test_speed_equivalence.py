@@ -10,7 +10,11 @@ results of a seeded run:
 - op counts, simulated clock, wrk latency stats,
 - the full metrics snapshot (including t-digest quantiles),
 - for the ingest scenario: the recovered key->value mapping digest,
-  the op-journal digest, and per-kind persistence event counts.
+  the op-journal digest, and per-kind persistence event counts;
+- for ``pktstore-reclaim-recovery`` (captured later, on the tree just
+  before PacketStore switched to field-level reads and batch recovery
+  adoption): overload stats, the recovered mapping digest, the
+  RecoveryReport fields and the post-recovery free-list order.
 
 These tests re-run every scenario on the optimized code and assert the
 golden documents match byte-for-byte.  Any optimization that reorders
