@@ -35,6 +35,7 @@ vanish atomically.
 """
 
 import struct
+from operator import itemgetter
 
 from repro.core.ppktbuf import (
     FLAG_TOMBSTONE,
@@ -75,6 +76,11 @@ class PacketStore:
         self._refs = {}
         #: buffer slot -> a live PacketBuffer handle (for zero-copy tx).
         self._buffers = {}
+        #: What ``gc`` reclaims, kept in DRAM (derivable from level 0, so
+        #: recovery rebuilds it): record slot -> its unlink sort key,
+        #: ``(key, MAX_SEQ - seq)`` for a superseded version and
+        #: ``(key, MAX_SEQ)`` for a newest-version tombstone.
+        self._reclaimable = {}
         self.count = 0
         self.stats = {"puts": 0, "gets": 0, "deletes": 0, "frag_chains": 0}
 
@@ -102,6 +108,7 @@ class PacketStore:
         reachable = {head_slot}
         chains = {}
         max_seq = 0
+        last_key = None
         prev = head_slot
         cursor = slab.read_next(head_slot, 0)
         while cursor:
@@ -119,6 +126,11 @@ class PacketStore:
             reachable.add(slot)
             chains[slot] = chain_buffers(slab, record, reachable)
             max_seq = max(max_seq, record.seq)
+            if record.key == last_key:
+                store._reclaimable[slot] = cls._order(record.key, record.seq)
+            elif record.tombstone:
+                store._reclaimable[slot] = (record.key, MAX_SEQ)
+            last_key = record.key
             prev = slot
             cursor = slab.read_next(slot, 0)
         store._buffers, store._refs = adopt_payload(pool, chains)
@@ -162,7 +174,8 @@ class PacketStore:
 
     def _find_predecessors(self, order_key, ctx):
         """Per level, the last slot before ``order_key`` and the link
-        out of it (successor slot + 1, 0 for nil)."""
+        out of it (successor slot + 1, 0 for nil); plus the level-0
+        successor's order key (None at the end of the list)."""
         preds = [self.head_slot] * MAX_HEIGHT
         succs = [0] * MAX_HEIGHT
         slot = self.head_slot
@@ -177,7 +190,8 @@ class PacketStore:
             nxt = read_next(slot, level)
             while nxt:
                 key, seq, _flags = read_order(nxt - 1)
-                advanced = (key, MAX_SEQ - seq) < order_key
+                succ_order = (key, MAX_SEQ - seq)
+                advanced = succ_order < order_key
                 if level == 0 or (level < COLD_LEVELS and advanced):
                     charge(cold_ns, "datamgmt.insert")
                 else:
@@ -189,7 +203,7 @@ class PacketStore:
                     break
             preds[level] = slot
             succs[level] = nxt
-        return preds, succs
+        return preds, succs, succ_order if nxt else None
 
     def _random_height(self):
         height = 1
@@ -232,7 +246,8 @@ class PacketStore:
             self.pool.region.fence(ctx, "persist")
 
         # 2. Index traversal (the only data-management cost that remains).
-        preds, succs = self._find_predecessors(self._order(key, seq), ctx)
+        preds, succs, succ_order = self._find_predecessors(
+            self._order(key, seq), ctx)
         height = self._random_height()
 
         # 3. Continuation records for > INLINE_FRAGS fragments.
@@ -298,6 +313,11 @@ class PacketStore:
         if height > 1:
             self.slab.region.fence(ctx, "persist")
         self.count += 1
+        # The level-0 successor was the key's newest version: now superseded.
+        if succ_order is not None and succ_order[0] == key:
+            self._reclaimable[succs[0] - 1] = succ_order
+        if tombstone:
+            self._reclaimable[node_slot] = (key, MAX_SEQ)
         return seq
 
     def delete(self, key, ctx=NULL_CONTEXT):
@@ -316,7 +336,7 @@ class PacketStore:
         unreachable records that recovery reclaims.
         """
         record = self.slab.read_record(node_slot)
-        preds, succs = self._find_predecessors(
+        preds, succs, _ = self._find_predecessors(
             self._order(record.key, record.seq), ctx)
         # Relink top-down so searches racing a crash stay correct.
         for level in range(record.height - 1, -1, -1):
@@ -330,6 +350,7 @@ class PacketStore:
             self.slab.free(cont - 1, ctx)
             cont = cont_record.cont
         self.slab.free(node_slot, ctx)
+        self._reclaimable.pop(node_slot, None)
         # Drop our payload references; fully-released buffers leave the map.
         for buf in self._refs.pop(node_slot, []):
             if buf.put() == 0:
@@ -341,36 +362,29 @@ class PacketStore:
 
         The packet store appends versions like an LSM; this is its
         compaction: for every key only the newest version survives, and
-        a newest-version tombstone is dropped entirely (single-level
-        store: nothing older can resurface).  Returns the number of
-        records reclaimed.
+        a newest-version tombstone is dropped entirely.  Victims come
+        from the tracked set, not a walk, so the cost is O(victims), and
+        are unlinked in level-0 order except that a tombstone goes after
+        its key's older versions: each unlink commits on its own, so at
+        every crash point the tombstone still hides whatever is left
+        below it, and once it goes nothing older remains to resurface.
+        Returns the number of records reclaimed.
         """
-        victims = []
-        last_key = None
-        read_next = self.slab.read_next
-        read_order = self.slab.read_order
-        cursor = read_next(self.head_slot, 0)
-        while cursor:
-            slot = cursor - 1
-            key, _seq, flags = read_order(slot)
-            cursor = read_next(slot, 0)
-            if key == last_key:
-                victims.append(slot)         # superseded version
-            else:
-                last_key = key
-                if drop_tombstones and flags & FLAG_TOMBSTONE:
-                    victims.append(slot)     # newest is a delete
-        for slot in victims:
+        victims = sorted(self._reclaimable.items(), key=itemgetter(1))
+        if not drop_tombstones:
+            victims = [victim for victim in victims if victim[1][1] != MAX_SEQ]
+        for slot, _order in victims:
             self._unlink(slot, ctx)
         return len(victims)
 
     # ------------------------------------------------------------------- reads
 
     def _first_version_slot(self, key, ctx):
-        nxt = self._find_predecessors(self._order(key, MAX_SEQ), ctx)[1][0]
-        if not nxt or self.slab.read_order(nxt - 1)[0] != key:
+        _preds, succs, succ_order = self._find_predecessors(
+            self._order(key, MAX_SEQ), ctx)
+        if succ_order is None or succ_order[0] != key:
             return None
-        return nxt - 1
+        return succs[0] - 1
 
     def get(self, key, ctx=NULL_CONTEXT):
         """Latest value bytes, or None (missing or tombstoned)."""

@@ -41,7 +41,8 @@ def build_parser():
                              "(default: pktstore)")
     parser.add_argument("--workload", choices=("put", "mixed"), default="put",
                         help="put = sequential acked puts; mixed = seeded "
-                             "random put/delete/get interleaving")
+                             "random put/delete/get interleaving, with GC "
+                             "every 10th op where the world has one")
     parser.add_argument("--puts", type=int, default=50,
                         help="puts for the 'put' workload (default: 50)")
     parser.add_argument("--ops", type=int, default=60,

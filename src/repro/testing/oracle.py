@@ -15,6 +15,7 @@ the bundled oracles rely on two informal protocols:
   ``.report`` (used by :class:`PacketStoreStructureOracle`).
 """
 
+from repro.core.pktstore import MAX_SEQ
 from repro.core.ppktbuf import KIND_CONT, KIND_NODE
 
 from repro.testing.journal import ABSENT
@@ -80,6 +81,9 @@ class PacketStoreStructureOracle(Oracle):
     - buffer refcounts equal the number of fragment references the
       store re-took (no leaks, no over-release),
     - the pool's in-use set is exactly the adopted buffer set,
+    - the rebuilt reclaimable set holds exactly the superseded versions
+      and newest-version tombstones level 0 shows, with their unlink
+      sort keys (a tombstone after its key's older versions),
     - the recovery report agrees with the rebuilt store.
     """
 
@@ -93,6 +97,8 @@ class PacketStoreStructureOracle(Oracle):
         slab = store.slab
 
         ref_counts = {}
+        reclaimable = {}
+        last_key = None
         records = 0
         cursor = slab.read_next(store.head_slot, 0)
         while cursor:
@@ -107,6 +113,11 @@ class PacketStoreStructureOracle(Oracle):
                 )
                 break
             records += 1
+            if record.key == last_key:
+                reclaimable[slot] = (record.key, MAX_SEQ - record.seq)
+            elif record.tombstone:
+                reclaimable[slot] = (record.key, MAX_SEQ)
+            last_key = record.key
             chain = record
             chain_slot = slot
             while True:
@@ -152,6 +163,11 @@ class PacketStoreStructureOracle(Oracle):
             violations.append(
                 f"pool in-use set {sorted(pool._in_use)} != adopted buffers "
                 f"{sorted(store._buffers)}"
+            )
+        if store._reclaimable != reclaimable:
+            violations.append(
+                f"reclaimable set {sorted(store._reclaimable.items())} != "
+                f"{sorted(reclaimable.items())} derived from level 0"
             )
         if report.recovered != records:
             violations.append(

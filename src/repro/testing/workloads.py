@@ -91,6 +91,11 @@ class PacketStoreWorld:
     def get(self, key, ctx=NULL_CONTEXT):
         return self.store.get(key, ctx)
 
+    def gc(self, ctx=NULL_CONTEXT):
+        """Compaction, not journalled: it must not change content, so
+        every crash point inside it recovers the journalled mapping."""
+        return self.store.gc(ctx)
+
     # --------------------------------------------------------------- recovery
 
     def recover(self, device):
@@ -228,7 +233,9 @@ def mixed_ops(world, n=60, keyspace=10, value_size=48, seed=1,
 
     Returns the volatile model dict for pre-crash sanity checking.
     Gets (when the world supports them) are validated against the model
-    inline, so the recorded trace also witnesses read consistency.
+    inline, so the recorded trace also witnesses read consistency; a
+    world with ``gc`` compacts after every 10th op, so the trace also
+    crashes inside reclaim.
     """
     rng = _XorShift(seed)
     model = {}
@@ -242,6 +249,8 @@ def mixed_ops(world, n=60, keyspace=10, value_size=48, seed=1,
             value = value_for(index, value_size + (rng.next() % 17), seed)
             world.put(key, value)
             model[key] = value
+        if hasattr(world, "gc") and index % 10 == 9:
+            world.gc()
         if check_gets and hasattr(world, "get") and model:
             probe = sorted(model)[rng.next() % len(model)]
             found = world.get(probe)

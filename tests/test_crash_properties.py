@@ -1,6 +1,6 @@
 """Property-based crash testing: seeded-random workloads, stdlib only.
 
-Each property drives a randomly generated put/delete/get interleaving
+Each property drives a randomly generated put/delete/get/GC interleaving
 (deterministic per seed — no hypothesis dependency needed, and every
 failure reproduces from the seed printed in the assertion) through the
 exhaustive crash sweep.  The §5.1 contract must hold for *every* crash
@@ -14,6 +14,7 @@ from repro.testing import (
     PacketStoreWorld,
     mixed_ops,
 )
+from repro.testing.workloads import value_for
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
@@ -32,6 +33,31 @@ def test_random_interleavings_with_heavy_deletes(seed):
     world = PacketStoreWorld(seed=seed)
     mixed_ops(world, n=12, keyspace=3, value_size=20, seed=seed,
               delete_every=3)
+    report = world.sweep().run()
+    assert report.ok, f"seed={seed}:\n{report.summary()}"
+
+
+def test_gc_crash_never_resurrects_a_deleted_key():
+    """GC unlinks one record per commit: the tombstone of ``k`` must go
+    after both older versions, or a crash between those unlinks hands
+    back a value whose DELETE was acked."""
+    world = PacketStoreWorld(seed=1)
+    world.put(b"k", value_for(1, 20))
+    world.put(b"k", value_for(2, 20))
+    world.delete(b"k")
+    world.put(b"z", value_for(3, 20))
+    assert world.gc() == 3
+    report = world.sweep().run()
+    assert report.ok, report.summary()
+    assert report.recoveries == report.scenarios
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_random_interleavings_with_gc_survive_every_crash_point(seed):
+    world = PacketStoreWorld(seed=seed)
+    model = mixed_ops(world, n=30, keyspace=4, value_size=20, seed=seed,
+                      delete_every=4)
+    assert dict(world.store.scan()) == model, f"seed={seed}"
     report = world.sweep().run()
     assert report.ok, f"seed={seed}:\n{report.summary()}"
 

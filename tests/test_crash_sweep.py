@@ -9,8 +9,10 @@ protocol (commit fence removed) is caught by the very same sweep.
 
 import pytest
 
+from repro.core.pktstore import MAX_SEQ
 from repro.core.ppktbuf import PMetaSlab
 from repro.pm.device import PMDevice
+from repro.sim.context import NULL_CONTEXT
 from repro.storage.skiplist import _XorShift
 from repro.testing import (
     ABSENT,
@@ -18,6 +20,7 @@ from repro.testing import (
     KVDurabilityOracle,
     NoveLSMWorld,
     OpJournal,
+    PacketStoreStructureOracle,
     PacketStoreWorld,
     RecordingPMDevice,
     WalWorld,
@@ -309,3 +312,41 @@ def test_mixed_ops_model_matches_store_and_sweep_passes():
     assert {k: v for k, v in world.store.scan()} == model
     report = world.sweep().run()
     assert report.ok, report.summary()
+
+
+# ------------------------------------------------------------- oracle controls
+
+
+def test_structure_oracle_checks_the_rebuilt_reclaimable_set():
+    """Negative control: a recovered store whose volatile reclaimable
+    set lost an entry, gained one, or misorders a tombstone must fail
+    the structure oracle."""
+    world = PacketStoreWorld(seed=4)
+    for index in range(3):
+        world.put(b"a", bytes([index]) * 16)
+    world.delete(b"b")
+    world.put(b"c", b"c" * 16)
+    world.device.crash()
+    recovered = world.recover(world.device)
+    oracle = PacketStoreStructureOracle()
+    assert oracle.check(recovered, None, world.journal) == []
+    tracked = recovered.store._reclaimable
+    assert len(tracked) == 3
+    pristine = dict(tracked)
+
+    tracked.pop(min(tracked))
+    assert oracle.check(recovered, None, world.journal)
+
+    tracked.clear()
+    tracked.update(pristine)
+    live_c = recovered.store._first_version_slot(b"c", NULL_CONTEXT)
+    tracked[live_c] = (b"c", MAX_SEQ)
+    assert oracle.check(recovered, None, world.journal)
+
+    # The tombstone under its level-0 order key would be unlinked first.
+    tracked.clear()
+    tracked.update(pristine)
+    (tombstone,) = [s for s, order in tracked.items() if order[1] == MAX_SEQ]
+    _key, seq, _flags = recovered.store.slab.read_order(tombstone)
+    tracked[tombstone] = (b"b", MAX_SEQ - seq)
+    assert oracle.check(recovered, None, world.journal)
