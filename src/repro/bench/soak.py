@@ -61,6 +61,7 @@ from repro.bench.testbed import SERVER_IP, make_testbed
 from repro.bench.wrk import OpenLoopWrkClient
 from repro.core.overload import OverloadController, QueuePressure
 from repro.storage.server import ServerConfig
+from repro.testing.oracle import Verdict, exit_status, refcount_mismatches
 
 SOAK_SCHEMA = "repro-bench-soak/v1"
 
@@ -79,20 +80,16 @@ DIGEST_TOLERANCE = 0.20
 MIN_TAIL_SAMPLES = 50
 
 
-class SoakReport:
+class SoakReport(Verdict):
     """Everything one sweep produced: points, oracles, knee estimate."""
 
+    tag = "[soak]"
+    clean = "all oracles clean"
+
     def __init__(self, config):
+        super().__init__()
         self.config = config
         self.points = []
-        self.violations = []
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def violate(self, kind, detail):
-        self.violations.append((kind, detail))
 
     @property
     def knee_krps(self):
@@ -125,12 +122,11 @@ class SoakReport:
             "config": self.config,
             "points": self.points,
             "knee_krps": self.knee_krps,
-            "violations": [f"{kind}: {detail}"
-                           for kind, detail in self.violations],
+            "violations": self.messages(),
             "ok": self.ok,
         }
 
-    def render(self):
+    def header(self):
         lines = [
             f"[soak] {len(self.points)} offered-load points, "
             f"containment {'on' if self.config['containment'] else 'OFF'}"
@@ -148,13 +144,7 @@ class SoakReport:
         knee = self.knee_krps
         lines.append(f"[soak] knee ≈ {knee:.1f} krps" if knee is not None
                      else "[soak] knee not reached")
-        if self.violations:
-            lines.append(f"[soak] {len(self.violations)} violation(s):")
-            for kind, detail in self.violations[:10]:
-                lines.append(f"[soak]   {kind}: {detail}")
-        else:
-            lines.append("[soak] all oracles clean")
-        return "\n".join(lines)
+        return lines
 
 
 def check_schema(doc):
@@ -205,37 +195,26 @@ def _leak_oracles(report, label, testbed, tx_baseline):
     rx_in_use = registry.value("server.rx_pool.in_use")
     owned = registry.value("engine.store.owned")
     if rx_in_use != owned:
-        report.violate(
+        report.violation(
             "rx-leak",
             f"{label}: rx_pool.in_use {rx_in_use:.0f} != "
             f"store.owned {owned:.0f} after drain",
         )
     tx_in_use = registry.value("server.tx_pool.in_use")
     if tx_in_use > tx_baseline:
-        report.violate(
+        report.violation(
             "tx-leak",
             f"{label}: tx_pool.in_use {tx_in_use:.0f} > "
             f"baseline {tx_baseline:.0f} after drain",
         )
-    store = getattr(testbed.engine, "store", None)
-    if store is not None and hasattr(store, "_refs") and \
-            hasattr(store, "_buffers"):
-        # Refcount-exact walk (mirrors the chaos oracle): each adopted
-        # buffer's refcount equals the references the store holds on it
-        # — nothing else may pin storage buffers after the drain.
-        held = {}
-        for refs in store._refs.values():
-            for buf in refs:
-                held[buf.slot] = held.get(buf.slot, 0) + 1
-        for slot, buf in store._buffers.items():
-            expected = held.get(slot, 0)
-            if buf.refcount != expected:
-                report.violate(
-                    "refcount",
-                    f"{label}: slot {slot} refcount {buf.refcount}, "
-                    f"store holds {expected}",
-                )
-                break
+    # Only the first mismatch is reported: one is enough to fail the
+    # point, and a broken walk would otherwise list every buffer.
+    for slot, refcount, held in refcount_mismatches(testbed.engine):
+        report.violation(
+            "refcount",
+            f"{label}: slot {slot} refcount {refcount}, store holds {held}",
+        )
+        break
 
 
 def run_point(rate_rps, args, report, containment=True):
@@ -302,32 +281,32 @@ def run_point(rate_rps, args, report, containment=True):
     # -- point oracles --------------------------------------------------------
     if stats.admitted >= MIN_TAIL_SAMPLES:
         if point["p99_us"] > args["p99_budget_us"]:
-            report.violate(
+            report.violation(
                 "bounded-tail",
                 f"{label}: admitted p99 {point['p99_us']:.1f}µs over the "
                 f"{args['p99_budget_us']:.0f}µs budget",
             )
         exact, digest = point["p99_us"], point["digest_p99_us"]
         if exact > 0 and abs(digest - exact) > DIGEST_TOLERANCE * exact:
-            report.violate(
+            report.violation(
                 "digest-conform",
                 f"{label}: digest p99 {digest:.1f}µs vs exact "
                 f"{exact:.1f}µs (> {DIGEST_TOLERANCE:.0%})",
             )
     elif containment:
-        report.violate(
+        report.violation(
             "bounded-tail",
             f"{label}: only {stats.admitted} admitted samples — the "
             f"point is vacuous (window too short or server wedged)",
         )
     if point["rx_exhaustions"] > 0:
-        report.violate(
+        report.violation(
             "shed-before-exhaustion",
             f"{label}: rx pool reported {point['rx_exhaustions']} "
             f"exhaustions — admission control engaged too late",
         )
     if client.use_after_close > 0:
-        report.violate(
+        report.violation(
             "churn-safety",
             f"{label}: {client.use_after_close} sends on churned "
             f"connections",
@@ -349,7 +328,7 @@ def run_soak(rates_rps, args, containment=True):
         # stopped short of the knee or proves admission control inert.
         top = report.points[-1]
         if top["shed"] <= 0:
-            report.violate(
+            report.violation(
                 "shed-engages",
                 f"top point {top['rate_krps']:.0f}krps shed nothing — "
                 f"the sweep never saturated the server",
@@ -390,8 +369,29 @@ def default_args():
 DEFAULT_RATES_KRPS = (30.0, 45.0, 55.0, 60.0)
 
 
+#: Help text of each soak parameter's flag.
+PARAMETER_HELP = {
+    "cores": "server cores",
+    "sockets": "bounded socket pool size",
+    "clients": "logical client population",
+    "key_space": "Zipf key universe",
+    "value_size": "PUT value bytes",
+    "theta": "Zipf skew",
+    "read_fraction": "GET fraction of the op mix",
+    "churn": "per-arrival fresh-connection probability",
+    "seed": "seed of the arrival process and key choice",
+    "duration_us": "measured window per point, µs of sim time",
+    "warmup_us": "warmup before measuring",
+    "pool_slots": "server rx pool slots (x2048 bytes)",
+    "pressure_high_us": "queue-delay shed threshold",
+    "pressure_low_us": "queue-delay relief threshold",
+    "p99_budget_us": "bounded-tail oracle budget for admitted p99",
+    "burst_factor": "square-wave burst multiplier (1 = off)",
+    "diurnal_amplitude": "sinusoidal swing amplitude (0 = off)",
+}
+
+
 def build_parser():
-    defaults = default_args()
     parser = argparse.ArgumentParser(
         prog="repro-bench-soak",
         description="Open-loop saturation soak: sweep offered load past "
@@ -401,50 +401,11 @@ def build_parser():
     parser.add_argument("--rates", default=None,
                         help="comma-separated offered loads in krps "
                              f"(default: {','.join(str(r) for r in DEFAULT_RATES_KRPS)})")
-    parser.add_argument("--duration-us", type=float,
-                        default=defaults["duration_us"],
-                        help="measured window per point, µs of sim time")
-    parser.add_argument("--warmup-us", type=float,
-                        default=defaults["warmup_us"],
-                        help="warmup before measuring")
-    parser.add_argument("--sockets", type=int, default=defaults["sockets"],
-                        help="bounded socket pool size")
-    parser.add_argument("--clients", type=int, default=defaults["clients"],
-                        help="logical client population")
-    parser.add_argument("--key-space", type=int,
-                        default=defaults["key_space"],
-                        help="Zipf key universe")
-    parser.add_argument("--theta", type=float, default=defaults["theta"],
-                        help="Zipf skew")
-    parser.add_argument("--churn", type=float, default=defaults["churn"],
-                        help="per-arrival fresh-connection probability")
-    parser.add_argument("--value-size", type=int,
-                        default=defaults["value_size"],
-                        help="PUT value bytes")
-    parser.add_argument("--read-fraction", type=float,
-                        default=defaults["read_fraction"],
-                        help="GET fraction of the op mix")
-    parser.add_argument("--cores", type=int, default=defaults["cores"],
-                        help="server cores")
-    parser.add_argument("--pool-slots", type=int,
-                        default=defaults["pool_slots"],
-                        help="server rx pool slots (x2048 bytes)")
-    parser.add_argument("--seed", type=int, default=defaults["seed"])
-    parser.add_argument("--burst-factor", type=float,
-                        default=defaults["burst_factor"],
-                        help="square-wave burst multiplier (1 = off)")
-    parser.add_argument("--diurnal-amplitude", type=float,
-                        default=defaults["diurnal_amplitude"],
-                        help="sinusoidal swing amplitude (0 = off)")
-    parser.add_argument("--p99-budget-us", type=float,
-                        default=defaults["p99_budget_us"],
-                        help="bounded-tail oracle budget for admitted p99")
-    parser.add_argument("--pressure-high-us", type=float,
-                        default=defaults["pressure_high_us"],
-                        help="queue-delay shed threshold")
-    parser.add_argument("--pressure-low-us", type=float,
-                        default=defaults["pressure_low_us"],
-                        help="queue-delay relief threshold")
+    # One flag per soak parameter (``--duration-us`` sets
+    # ``duration_us``), typed and defaulted by default_args().
+    for name, default in default_args().items():
+        parser.add_argument("--" + name.replace("_", "-"), type=type(default),
+                            default=default, help=PARAMETER_HELP[name])
     parser.add_argument("--no-containment", action="store_true",
                         help="drop the overload controller (negative "
                              "control; oracles should trip)")
@@ -462,25 +423,12 @@ def main(argv=None):
     rates_krps = DEFAULT_RATES_KRPS if cli.rates is None else tuple(
         float(r) for r in cli.rates.split(",")
     )
-    args = default_args()
-    args.update({
-        "cores": cli.cores, "sockets": cli.sockets, "clients": cli.clients,
-        "key_space": cli.key_space, "value_size": cli.value_size,
-        "theta": cli.theta, "read_fraction": cli.read_fraction,
-        "churn": cli.churn, "seed": cli.seed,
-        "duration_us": cli.duration_us, "warmup_us": cli.warmup_us,
-        "pool_slots": cli.pool_slots,
-        "pressure_high_us": cli.pressure_high_us,
-        "pressure_low_us": cli.pressure_low_us,
-        "p99_budget_us": cli.p99_budget_us,
-        "burst_factor": cli.burst_factor,
-        "diurnal_amplitude": cli.diurnal_amplitude,
-    })
+    args = {name: getattr(cli, name) for name in default_args()}
     report = run_soak(
         [r * 1e3 for r in rates_krps], args,
         containment=not cli.no_containment,
     )
-    print(report.render())
+    print(report.summary())
     if cli.json is not None:
         text = json.dumps(report.as_dict(), indent=2, sort_keys=True)
         if cli.json == "-":
@@ -489,14 +437,9 @@ def main(argv=None):
             with open(cli.json, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
             print(f"[soak] document written to {cli.json}")
-    if cli.expect_violations:
-        if report.ok:
-            print("[soak] FAIL: expected violations, sweep was clean")
-            return 1
-        print(f"[soak] OK ({len(report.violations)} violations, "
-              f"as expected)")
-        return 0
-    return 0 if report.ok else 1
+    return exit_status(report, cli.expect_violations,
+                       held="admission control held the tail past the knee",
+                       broken="soak oracles violated")
 
 
 if __name__ == "__main__":

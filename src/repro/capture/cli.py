@@ -39,6 +39,7 @@ from repro.capture.replay import (
     verify_rebuild,
 )
 from repro.net.headers import int_to_ip
+from repro.testing.oracle import exit_status
 
 
 def build_parser():
@@ -232,20 +233,12 @@ def _main_smoke(args):
     report = verify_rebuild(storm.testbed.engine, standby.engine)
     print(report.summary())
 
-    if args.expect_violations:
-        if report.ok:
-            print("[capture-smoke] FAIL: expected the oracle to catch the "
-                  "planted drop, but the rebuild matched")
-            return 1
-        print(f"[capture-smoke] OK: planted divergence caught "
-              f"({len(report.violations)} violation(s), as expected)")
-        return 0
-    if not report.ok:
-        print("[capture-smoke] FAIL: rebuilt store diverged from live")
-        return 1
-    print("[capture-smoke] OK: standby rebuilt from capture alone is "
-          "equivalent to the live store")
-    return 0
+    return exit_status(
+        report, args.expect_violations,
+        held="standby rebuilt from capture alone is equivalent to the "
+             "live store",
+        broken="rebuilt store diverged from live",
+    )
 
 
 def main(argv=None):

@@ -41,7 +41,6 @@ import hashlib
 from repro.bench.costmodel import CostModel
 from repro.bench.workloads import TrafficSource
 from repro.capture.format import Capture
-from repro.capture.tap import CaptureTap
 from repro.net.fabric import Fabric
 from repro.net.headers import (
     ETH_HEADER_LEN,
@@ -61,7 +60,7 @@ from repro.sim.context import NULL_CONTEXT
 from repro.sim.engine import Simulator
 from repro.storage.engines import direct_put
 from repro.storage.server import ServerConfig, serve
-from repro.testing.oracle import KVDurabilityOracle
+from repro.testing.oracle import KVDurabilityOracle, Verdict
 
 #: Default world sizing for rebuilt standbys; mirrors the testbed's.
 PM_BYTES = 192 << 20
@@ -233,11 +232,7 @@ def store_digest(engine):
     The same shape as the bench lane's recovered-store digest: equal
     digests mean byte-identical visible stores.
     """
-    digest = hashlib.sha256()
-    for key in sorted(mapping := store_mapping(engine)):
-        digest.update(hashlib.sha256(key).digest())
-        digest.update(hashlib.sha256(mapping[key]).digest())
-    return digest.hexdigest()
+    return _digest_of_mapping(store_mapping(engine))
 
 
 class _MappingView:
@@ -267,33 +262,23 @@ class _FinalScenario:
     event_index = 0
 
 
-class RebuildReport:
+class RebuildReport(Verdict):
     """Outcome of one rebuild-equivalence check."""
 
-    def __init__(self, live_digest, rebuilt_digest, violations):
+    tag = "[capture]"
+    clean = "equivalence held: identical recovery digests, durability " \
+        "oracle clean"
+
+    def __init__(self, live_digest, rebuilt_digest):
+        super().__init__()
         self.live_digest = live_digest
         self.rebuilt_digest = rebuilt_digest
-        self.violations = list(violations)
 
-    @property
-    def ok(self):
-        return not self.violations and self.live_digest == self.rebuilt_digest
-
-    def summary(self):
-        lines = [
+    def header(self):
+        return [
             f"[capture] live store digest    {self.live_digest}",
             f"[capture] rebuilt store digest {self.rebuilt_digest}",
         ]
-        if self.violations:
-            lines.append(f"[capture] {len(self.violations)} violation(s):")
-            lines.extend(f"[capture]   {v}" for v in self.violations[:10])
-            if len(self.violations) > 10:
-                lines.append(
-                    f"[capture]   ... {len(self.violations) - 10} more")
-        else:
-            lines.append("[capture] equivalence held: identical recovery "
-                         "digests, durability oracle clean")
-        return "\n".join(lines)
 
 
 def verify_rebuild(live_engine, rebuilt_engine):
@@ -307,12 +292,15 @@ def verify_rebuild(live_engine, rebuilt_engine):
     live = store_mapping(live_engine)
     rebuilt = store_mapping(rebuilt_engine)
     oracle = KVDurabilityOracle()
-    violations = oracle.check(
-        _MappingView(rebuilt), _FinalScenario(), _MappingJournal(live)
-    )
-    return RebuildReport(
-        _digest_of_mapping(live), _digest_of_mapping(rebuilt), violations
-    )
+    report = RebuildReport(_digest_of_mapping(live),
+                           _digest_of_mapping(rebuilt))
+    for message in oracle.check(_MappingView(rebuilt), _FinalScenario(),
+                                _MappingJournal(live)):
+        report.violation(oracle.name, message)
+    if report.live_digest != report.rebuilt_digest:
+        report.violation("digest", "rebuilt store digest differs from the "
+                                   "live store's")
+    return report
 
 
 def plant_drop(capture, live_engine, server_ip=None):
@@ -588,35 +576,32 @@ def _apply_op(engine, method, key_bytes, value):
     return True
 
 
-class ReseedReport:
+class ReseedReport(Verdict):
     """Outcome of one capture-driven cluster reseed."""
 
+    tag = "[reseed]"
+    clean = "standby agrees with every promoted primary"
+
     def __init__(self, dead_name, standby_node, injected, caught_up,
-                 checked, violations, attached):
+                 checked, attached):
+        super().__init__()
         self.dead_name = dead_name
         #: The rebuilt ClusterNode (in cluster.nodes once attached).
         self.node = standby_node
         self.injected = injected
         self.caught_up = caught_up
         self.checked = checked
-        self.violations = list(violations)
         self.attached = attached
 
-    @property
-    def ok(self):
-        return not self.violations
-
-    def summary(self):
-        lines = [
+    def header(self):
+        return [
             f"[reseed] {self.dead_name}: {self.injected} frame(s) of its "
             f"own history replayed, {self.caught_up} post-kill op(s) "
             f"caught up from the survivors",
             f"[reseed] verified {self.checked} shard key(s) against the "
-            f"promoted primaries: {len(self.violations)} violation(s)",
+            f"promoted primaries",
+            f"[reseed] node {'re-attached to the ring' if self.attached else 'left detached'}",
         ]
-        lines.extend(f"[reseed]   {v}" for v in self.violations[:10])
-        lines.append(f"[reseed] node {'re-attached to the ring' if self.attached else 'left detached'}")
-        return "\n".join(lines)
 
 
 def verify_reseed(cluster, standby_engine, dead_name, full_ring=None):
@@ -789,8 +774,11 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
         standby_node = ClusterNode(dead_name, node.ip, host, handle,
                                    replicator, applier, pm_device, pm_ns)
 
-    return ReseedReport(dead_name, standby_node, injected, caught_up,
-                        checked, violations, attached)
+    report = ReseedReport(dead_name, standby_node, injected, caught_up,
+                          checked, attached)
+    for message in violations:
+        report.violation("reseed", message)
+    return report
 
 
 class CaptureSource(TrafficSource):

@@ -234,8 +234,7 @@ def _run_storm(args):
         "acked_puts": report.acked_puts,
         "attempted_puts": report.attempted_puts,
         "responses": {str(k): v for k, v in report.responses.items()},
-        "violations": [f"{kind}: {detail}"
-                       for kind, detail in report.violations],
+        "violations": report.messages(),
         "ok": report.ok,
     }
     return storm.testbed.recorder, workload, []

@@ -13,7 +13,8 @@ Layers (each usable on its own):
 - :mod:`~repro.testing.record`   — recording PM / block devices;
 - :mod:`~repro.testing.replay`   — offline replay cursors + fault injection;
 - :mod:`~repro.testing.journal`  — acked-vs-in-flight op bracketing;
-- :mod:`~repro.testing.oracle`   — recovery invariants;
+- :mod:`~repro.testing.oracle`   — recovery invariants, and the
+  :class:`Verdict` every checker reports through;
 - :mod:`~repro.testing.harness`  — the exhaustive sweep + live-sim scheduler;
 - :mod:`~repro.testing.workloads`— ready-made worlds (PacketStore, LSM, WAL);
 - :mod:`~repro.testing.cli`      — the ``repro-crashcheck`` entry point.
@@ -34,7 +35,6 @@ from repro.testing.harness import (
     CrashScenario,
     CrashSweep,
     SweepReport,
-    Violation,
     run_until_persistence_events,
 )
 from repro.testing.journal import ABSENT, Op, OpJournal
@@ -42,7 +42,9 @@ from repro.testing.oracle import (
     KVDurabilityOracle,
     Oracle,
     PacketStoreStructureOracle,
+    Verdict,
     WalPrefixOracle,
+    exit_status,
 )
 from repro.testing.record import RecordingBlockDevice, RecordingPMDevice
 from repro.testing.replay import BlockReplayCursor, PMReplayCursor, make_cursor
@@ -77,9 +79,10 @@ __all__ = [
     "RecordingBlockDevice",
     "RecordingPMDevice",
     "SweepReport",
-    "Violation",
+    "Verdict",
     "WalPrefixOracle",
     "WalWorld",
+    "exit_status",
     "make_cursor",
     "mixed_ops",
     "run_until_persistence_events",

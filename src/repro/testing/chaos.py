@@ -4,7 +4,7 @@ The crash sweep (:mod:`repro.testing.harness`) proves the *persistence*
 path honest; this module does the same for the *serving* path.  It
 drives a deliberately under-provisioned testbed — a PM packet pool and
 metadata slab sized to exhaust under a many-connection PUT burst —
-through pool-exhaustion bursts, fabric loss/duplication storms and
+through pool-exhaustion bursts, fabric loss/duplication squalls and
 slow-client stalls, then checks the §4 coupling's failure-containment
 contract:
 
@@ -22,8 +22,15 @@ Running the same storm with ``contain=False`` (no overload controller,
 stall as a violation.  That negative check wires into CI via
 ``repro-chaoscheck --no-containment --expect-violations``, proving the
 detector detects.
+
+:class:`Storm` is the engine this storm shares with the host-kill storm
+(:mod:`repro.testing.chaos_cluster`): one closed-loop requester with
+one ack ledger over two transports (an HTTP/TCP stream, or Homa RPCs
+with a watchdog, an attempt budget and a per-attempt route), one
+crash-catching run, and one copy of each oracle both storms apply.
 """
 
+import functools
 import random
 
 from repro.bench.testbed import SERVER_IP, make_testbed
@@ -32,6 +39,7 @@ from repro.net.fabric import LinkFaults
 from repro.net.http import HttpParser, build_request
 from repro.sim.units import MILLIS
 from repro.storage.server import ServerConfig
+from repro.testing.oracle import Verdict, exit_status, refcount_mismatches
 
 PORT = 80
 
@@ -39,33 +47,41 @@ PORT = 80
 SLOT = 2048
 
 
-class ChaosReport:
-    """Outcome of one overload storm."""
+class StormReport(Verdict):
+    """What a storm's loops issued and saw, and what its oracles found."""
 
     def __init__(self):
-        self.violations = []
+        super().__init__()
         self.responses = {200: 0, 503: 0, 507: 0, 400: 0, 404: 0}
+        self.attempted_puts = 0
+        self.acked_puts = 0
+        #: storm phase -> puts acked in it
+        self.acked_by_phase = {}
+        self.timeouts = 0
+        self.retries = 0
+        self.give_ups = 0
+        self.abandoned_puts = 0
+        #: (rpc, direction) pairs that retransmitted at least once —
+        #: how much the span-link oracle actually exercised (Homa only).
+        self.retransmitted_rpcs = 0
+        self.crashed = None
+        self.probe_ok = False
+
+
+class ChaosReport(StormReport):
+    """Outcome of one overload storm."""
+
+    tag = "[chaos]"
+    clean = "contract held: live, durable, leak-free"
+
+    def __init__(self):
+        super().__init__()
         self.resets = 0
         self.stall_aborts = 0
-        self.timeouts = 0
-        self.crashed = None
-        self.acked_puts = 0
-        self.attempted_puts = 0
-        #: (rpc, direction) pairs that retransmitted at least once —
-        #: how much the span-link oracle actually exercised (homa only).
-        self.retransmitted_rpcs = 0
-        self.probe_ok = False
         self.server_stats = {}
         self.overload_stats = {}
 
-    @property
-    def ok(self):
-        return not self.violations
-
-    def violation(self, kind, detail):
-        self.violations.append((kind, detail))
-
-    def summary(self):
+    def header(self):
         lines = [
             f"[chaos] puts acked {self.acked_puts}/{self.attempted_puts}, "
             f"responses {dict(self.responses)}, resets {self.resets}, "
@@ -84,179 +100,174 @@ class ChaosReport:
         if self.overload_stats:
             lines.append("[chaos] overload: " + ", ".join(
                 f"{k} {v}" for k, v in sorted(self.overload_stats.items())))
-        if self.crashed is not None:
-            lines.append(f"[chaos] CRASH: {self.crashed!r}")
-        if self.violations:
-            lines.append(f"[chaos] {len(self.violations)} violation(s):")
-            for kind, detail in self.violations[:10]:
-                lines.append(f"[chaos]   {kind}: {detail}")
-            if len(self.violations) > 10:
-                lines.append(f"[chaos]   ... {len(self.violations) - 10} more")
-        else:
-            lines.append("[chaos] contract held: live, durable, leak-free")
-        return "\n".join(lines)
+        return lines
 
 
-class _BurstConn:
-    """One closed-loop connection: PUT burst over a small private key set.
+# -- the load loop ------------------------------------------------------------
 
-    ``puts > len(keys)`` forces overwrites, giving the emergency GC
-    superseded versions to reclaim mid-storm.  Tracks, per key, the
-    latest acked value and everything issued after it — the durability
-    oracle accepts any of those (an unacked write may legally persist).
+
+class _Loop:
+    """One closed-loop requester and its ack ledger.
+
+    The loop issues its TrafficSource's ops one at a time.  Per key it
+    keeps the newest acked value and every value issued after it: the
+    durability oracles accept any of those, since an unacked write may
+    legally persist.  ``puts > len(keys)`` forces overwrites, giving
+    the emergency GC superseded versions to reclaim mid-storm.  A
+    transport subclass supplies ``start`` and ``_send``.
     """
 
-    def __init__(self, world, conn_id, source):
-        self.world = world
-        self.conn_id = conn_id
+    def __init__(self, storm, loop_id, source):
+        self.storm = storm
+        self.loop_id = loop_id
         self.source = source
         keys_for = getattr(source, "keys_for", None)
-        self.keys = [key.encode() for key in keys_for(conn_id)] \
+        self.keys = [key.encode() for key in keys_for(loop_id)] \
             if keys_for is not None else []
         self.sent = 0
-        self.parser = HttpParser(is_response=True)
-        self.sock = None
         self.done = False
-        self.last_acked = {}    # key -> value of newest acked put
-        self.in_flight = None   # (key, value) awaiting its response
-        self.issued_after_ack = {}  # key -> [values issued after last ack]
+        self.in_flight = None       # (key, value) awaiting its response
+        self.rpc_id = None          # transport id of the latest attempt
+        self.last_acked = {}        # key -> value of the newest acked put
+        self.issued_after_ack = {}  # key -> [values issued after that ack]
+        self.acked_rpcs = {}        # key -> rpc id of the acking attempt
+        self.acked_phase = {}       # key -> storm phase at ack time
 
-    def start(self, ctx):
-        self.sock = self.world.client.stack.connect(SERVER_IP, PORT, ctx)
-        self.sock.on_data = self._on_data
-        self.sock.on_established = lambda s, c: self._next(c)
-        self.sock.on_reset = self._on_reset
-
-    def _on_reset(self, _sock):
-        self.world.report.resets += 1
-        self.done = True
-        self.parser.reset()
+    def resume(self, extra_puts, ctx):
+        """Issue ``extra_puts`` more (the host-kill storm's second burst)."""
+        self.source.extend(self.loop_id, extra_puts)
+        if self.done:
+            self.done = False
+            self._next(ctx)
 
     def _next(self, ctx):
-        op = self.source.next_op(self.conn_id)
+        op = self.source.next_op(self.loop_id)
         if op is None:
             self.done = True
-            self.sock.close(ctx)
+            self._finish(ctx)
             return
         method, key_str, value = op
         key = key_str.encode()
         self.in_flight = (key, value)
         self.issued_after_ack.setdefault(key, []).append(value)
         self.sent += 1
-        self.world.report.attempted_puts += 1
-        self.sock.send(build_request(method, "/" + key_str, value), ctx)
+        self.storm.report.attempted_puts += 1
+        self._send(build_request(method, "/" + key_str, value), ctx)
+
+    def _finish(self, ctx):
+        """The source ran dry (the TCP loop closes its connection)."""
+
+    def _settle(self, status):
+        """Book the response (``None``: unparseable) to the op in flight."""
+        report = self.storm.report
+        if status is not None:
+            report.responses[status] = report.responses.get(status, 0) + 1
+            if self.in_flight is not None and status == 200:
+                key, value = self.in_flight
+                phase = self.storm.phase
+                self.last_acked[key] = value
+                self.issued_after_ack[key] = []
+                self.acked_rpcs[key] = self.rpc_id
+                self.acked_phase[key] = phase
+                report.acked_puts += 1
+                report.acked_by_phase[phase] = \
+                    report.acked_by_phase.get(phase, 0) + 1
+        self.in_flight = None
+
+
+class _TcpLoop(_Loop):
+    """The loop over one HTTP/TCP connection to the server."""
+
+    def __init__(self, storm, loop_id, source):
+        super().__init__(storm, loop_id, source)
+        self.parser = HttpParser(is_response=True)
+        self.sock = None
+
+    def start(self, ctx):
+        self.sock = self.storm.client.stack.connect(SERVER_IP, PORT, ctx)
+        self.sock.on_data = self._on_data
+        self.sock.on_established = lambda s, c: self._next(c)
+        self.sock.on_reset = self._on_reset
+
+    def _send(self, request, ctx):
+        self.sock.send(request, ctx)
+
+    def _finish(self, ctx):
+        self.sock.close(ctx)
+
+    def _on_reset(self, _sock):
+        self.storm.report.resets += 1
+        self.done = True
+        self.parser.reset()
 
     def _on_data(self, _sock, segment, ctx):
         for message in self.parser.feed(segment):
             status = message.status
             message.release()
-            self.world.report.responses[status] = \
-                self.world.report.responses.get(status, 0) + 1
-            if self.in_flight is not None and status == 200:
-                key, value = self.in_flight
-                self.last_acked[key] = value
-                self.issued_after_ack[key] = []
-                self.world.report.acked_puts += 1
-            self.in_flight = None
+            self._settle(status)
             if self.done:
                 return
             self._next(ctx)
 
 
-class _StallConn:
-    """A slow client: sends half a PUT, stalls, then resets.
-
-    The half-request's body slices sit retained in the server's parser;
-    the RST must release them (connection-level resilience) or the
-    stall permanently pins pool slots.
-    """
-
-    def __init__(self, world, conn_id, value_size, stall_ns):
-        self.world = world
-        self.conn_id = conn_id
-        self.value_size = value_size
-        self.stall_ns = stall_ns
-        self.sock = None
-
-    def start(self, ctx):
-        self.sock = self.world.client.stack.connect(SERVER_IP, PORT, ctx)
-        self.sock.on_established = self._send_half
-
-    def _send_half(self, sock, ctx):
-        request = build_request(
-            "PUT", f"/stall-{self.conn_id}", bytes(self.value_size)
-        )
-        sock.send(request[:len(request) // 2], ctx)
-        self.world.sim.schedule(self.stall_ns, self._abort)
-
-    def _abort(self):
-        if self.sock.state.value != "CLOSED":
-            self.world.report.stall_aborts += 1
-            self.world.client.process_on_core(
-                self.sock.core, lambda ctx: self.sock.abort(ctx)
-            )
-
-
-class _HomaBurstLoop:
-    """One closed-loop Homa requester: the same PUT burst as message RPCs.
+class _HomaLoop(_Loop):
+    """The loop over Homa RPCs, routed afresh on every attempt.
 
     Homa has no connections, so there is no stream to half-send and
-    stall — the TCP storm's stall clients have no analog here; the
-    fault squall instead lands on DATA/GRANT/ACK packets and exercises
-    the transport's sender-timeout retransmission.  A watchdog bounds
-    each RPC: if neither a reply nor the transport's give-up resolves
-    it, the loop counts a timeout and moves on, the way a real RPC
-    client would.
+    stall.  An attempt ends in a reply, in the storm's watchdog expiry
+    or, where the storm retries on it, in the transport's give-up.  An
+    attempt that ended without a reply is reported to the storm's
+    failure detector and retried (same request, new route: after a
+    failover the key lands on the promoted backup) until the storm's
+    attempt budget is spent; then the put is abandoned.
     """
 
-    WATCHDOG_NS = 80 * MILLIS
-
-    def __init__(self, world, conn_id, source):
-        self.world = world
-        self.conn_id = conn_id
-        # The same TrafficSource as the TCP burst, so the durability
-        # oracle's bookkeeping is transport-independent.
-        self.source = source
-        keys_for = getattr(source, "keys_for", None)
-        self.keys = [key.encode() for key in keys_for(conn_id)] \
-            if keys_for is not None else []
-        self.sent = 0
-        self.done = False
-        self.last_acked = {}        # key -> value of newest acked put
-        self.in_flight = None       # (key, value) awaiting its reply
-        self.issued_after_ack = {}  # key -> [values issued after last ack]
-        self.awaiting = None        # seq of the outstanding RPC
+    def __init__(self, storm, loop_id, source):
+        super().__init__(storm, loop_id, source)
         self.core = None
+        self.awaiting = None    # (put, attempt) of the live RPC
+        self.attempt = 0
+        self.target = None      # route target of the live attempt
+        self.request = None
 
     def start(self, ctx):
-        cpus = self.world.client.cpus
-        self.core = cpus[self.conn_id % len(cpus)]
+        cpus = self.storm.client.cpus
+        self.core = cpus[self.loop_id % len(cpus)]
         self._next(ctx)
 
-    def _next(self, ctx):
-        op = self.source.next_op(self.conn_id)
-        if op is None:
-            self.done = True
-            return
-        method, key_str, value = op
-        key = key_str.encode()
-        self.in_flight = (key, value)
-        self.issued_after_ack.setdefault(key, []).append(value)
-        seq = self.sent
-        self.sent += 1
-        self.world.report.attempted_puts += 1
-        self.awaiting = seq
-        self.world.client.homa.send_request(
-            SERVER_IP, PORT, build_request(method, "/" + key_str, value),
-            ctx,
-            on_reply=lambda segments, c, s=seq: self._on_reply(s, segments, c),
-        )
-        self.world.sim.schedule(self.WATCHDOG_NS, self._watchdog, seq)
+    def _send(self, request, ctx):
+        self.request = request
+        self.attempt = 0
+        self._fire(ctx)
 
-    def _on_reply(self, seq, segments, ctx):
-        if self.awaiting != seq:
-            return  # the watchdog already moved on; late duplicate
+    def _fire(self, ctx):
+        storm = self.storm
+        token = (self.sent, self.attempt)
+        self.awaiting = token
+        self.target, ip = storm.route(self.in_flight[0])
+        self.rpc_id = storm.client.homa.send_request(
+            ip, storm.port, self.request, ctx,
+            on_reply=lambda segments, c, t=token: self._on_reply(
+                t, segments, c),
+            on_giveup=lambda _rpc, t=token: self._on_giveup(t),
+        )
+        storm.sim.schedule(storm.WATCHDOG_NS, self._watchdog, token)
+
+    def _retry(self, ctx):
+        if self.attempt + 1 >= self.storm.MAX_ATTEMPTS:
+            self.storm.report.abandoned_puts += 1
+            self.in_flight = None
+            self._next(ctx)
+            return
+        self.attempt += 1
+        self.storm.report.retries += 1
+        self._fire(ctx)
+
+    def _on_reply(self, token, segments, ctx):
+        if self.awaiting != token:
+            return  # a watchdog or give-up already moved on
         self.awaiting = None
+        self.storm.report_success(self.target)
         parser = HttpParser(is_response=True)
         status = None
         for segment in segments:
@@ -264,200 +275,180 @@ class _HomaBurstLoop:
                 status = message.status
                 message.release()
         parser.reset()
-        if status is not None:
-            self.world.report.responses[status] = \
-                self.world.report.responses.get(status, 0) + 1
-            if self.in_flight is not None and status == 200:
-                key, value = self.in_flight
-                self.last_acked[key] = value
-                self.issued_after_ack[key] = []
-                self.world.report.acked_puts += 1
-        self.in_flight = None
+        self._settle(status)
         if not self.done:
             self._next(ctx)
 
-    def _watchdog(self, seq):
-        if self.awaiting != seq:
+    def _on_giveup(self, token):
+        if self.awaiting != token or not self.storm.RETRY_ON_GIVE_UP:
             return
+        self.storm.report.give_ups += 1
+        self._expire()
+
+    def _watchdog(self, token):
+        if self.awaiting != token:
+            return
+        self.storm.report.timeouts += 1
+        self._expire()
+
+    def _expire(self):
         self.awaiting = None
-        self.in_flight = None
-        self.world.report.timeouts += 1
-        if not self.done:
-            self.world.client.process_on_core(self.core, self._next)
+        self.storm.report_failure(self.target)
+        self.storm.client.process_on_core(self.core, self._retry)
 
 
-class OverloadStorm:
-    """Build the under-provisioned testbed and run the storm."""
+# -- the storm engine ---------------------------------------------------------
 
-    def __init__(self, connections=100, puts_per_conn=6, keys_per_conn=2,
-                 value_size=1400, pool_slots=256, slab_slots=None,
-                 contain=True, zero_copy=False, stalls=4,
-                 storm_faults=True, seed=1, max_events=20_000_000,
-                 reaper_idle_ns=None, transport="tcp", cores=1, config=None,
-                 source=None):
-        self.connections = connections
-        self.puts_per_conn = puts_per_conn
-        self.keys_per_conn = keys_per_conn
-        self.value_size = value_size
-        # The storm's burst phase is a TrafficSource like any other
-        # generator; passing one in substitutes the traffic (e.g. a
-        # captured stream) while the oracles stay unchanged.
-        self.source = source if source is not None else StormBurstSource(
-            connections, puts_per_conn, keys_per_conn, value_size,
-        )
-        self.pool_slots = pool_slots
-        # Default slab sizing: enough for steady state (live keys) but
-        # well short of the versions the burst creates, so the slab —
-        # not just the pool — sees pressure.
-        if slab_slots is None:
-            slab_slots = max(64, connections * keys_per_conn * 2)
-        self.slab_slots = slab_slots
-        self.stalls = stalls
-        self.storm_faults = storm_faults
-        self.seed = seed
-        self.max_events = max_events
 
-        # One ServerConfig shapes the whole server side; the individual
-        # kwargs are folded into one (and metrics are always on — the
-        # oracles read the gauges).
-        if config is None:
-            config = ServerConfig(
-                transport=transport,
-                engine="pktstore",
-                cores=cores,
-                zero_copy_get=zero_copy,
-                contain_errors=contain,
-                overload=True if contain else None,
-                reaper_idle_ns=(reaper_idle_ns if transport == "tcp"
-                                else None),
-                metrics=True,
-                engine_kwargs={"meta_bytes": slab_slots * 256},
+class Storm:
+    """What the overload and host-kill storms share.
+
+    A storm runs its phases and probe (``_storm``), then checks its
+    contract (``_check``), then copies the server's counters into its
+    report (``_finalize``).  An exception anywhere in the storm is
+    itself the finding: it becomes a ``crash`` violation and the
+    oracles are skipped, since the world they would read is half-run.
+    Subclasses build ``sim``, ``client``, ``metrics``, ``recorder``,
+    ``transport``, ``port``, ``max_events`` and ``report``, and may
+    override the Homa loops' routing and failure reporting.
+    """
+
+    #: Homa loops: per-attempt client watchdog.
+    WATCHDOG_NS = 80 * MILLIS
+    #: Homa loops: attempts per put before the loop abandons it.
+    MAX_ATTEMPTS = 1
+    #: Homa loops: whether a transport give-up ends the attempt, or the
+    #: loop waits for its watchdog.
+    RETRY_ON_GIVE_UP = False
+
+    #: Storm phase that acks are booked under.
+    phase = "storm"
+
+    def route(self, _key):
+        """(target, ip) a Homa loop's next attempt is sent to."""
+        return None, SERVER_IP
+
+    def report_success(self, target):
+        """A Homa attempt to ``target`` got its reply."""
+
+    def report_failure(self, target):
+        """A Homa attempt to ``target`` expired or was given up."""
+
+    def run(self):
+        try:
+            self._storm()
+        except Exception as exc:  # noqa: BLE001 — a crash IS the finding
+            self.report.crashed = exc
+            self.report.violation("crash", f"{type(exc).__name__}: {exc}")
+        else:
+            if self.report.attempted_puts == 0:
+                self.report.violation(
+                    "vacuous:no-requests",
+                    "the storm issued zero PUTs — nothing was tested")
+            self._check()
+        self._finalize()
+        return self.report
+
+    # -- shared phases ----------------------------------------------------------
+
+    def _build_loops(self, count, source):
+        loop_class = _HomaLoop if self.transport == "homa" else _TcpLoop
+        self._conns = [loop_class(self, loop_id, source)
+                       for loop_id in range(count)]
+
+    def _stagger(self, action):
+        """Run ``action(loop, ctx)`` for every loop on its own core, 2 µs
+        apart, so a burst's opening doesn't serialise into one slice."""
+        cpus = self.client.cpus
+        for loop in self._conns:
+            self.sim.schedule(
+                loop.loop_id * 2_000.0, self.client.process_on_core,
+                cpus[loop.loop_id % len(cpus)],
+                functools.partial(action, loop),
             )
-        if not config.metrics:
-            raise ValueError(
-                "OverloadStorm needs config.metrics=True: the liveness "
-                "and leak oracles read the recorder's gauges"
-            )
-        self.config = config
-        self.transport = config.transport
-        self.contain = config.contain_errors
-        self.zero_copy = config.zero_copy_get
 
-        self.testbed = make_testbed(
-            config=config,
-            paste_pool_bytes=pool_slots * SLOT,
-        )
-        self.overload = self.testbed.overload
-        self.metrics = self.testbed.metrics
-        self.sim = self.testbed.sim
-        self.client = self.testbed.client
-        self.server = self.testbed.server
-        if self.transport == "homa":
-            self.client.enable_homa()
-        self.report = ChaosReport()
-        self._rng = random.Random(seed)
+    def _get(self, key, ip):
+        """GET ``key`` from ``ip`` after the storm: ``(status, body)``."""
+        result = {"status": None, "body": None}
+        parser = HttpParser(is_response=True)
+        request = build_request("GET", "/" + key.decode())
 
-    # -- baseline / oracle ----------------------------------------------------
+        def collect(segments, answered):
+            for segment in segments:
+                for message in parser.feed(segment):
+                    result["status"] = message.status
+                    result["body"] = message.body
+                    message.release()
+                    answered()
 
-    def _capture_baseline(self):
-        metrics = self.metrics
-        self.baseline = {
-            "server_tx": metrics.value("server.tx_pool.in_use"),
-            "client_tx": metrics.value("client.tx_pool.in_use"),
-            "client_rx": metrics.value("client.rx_pool.in_use"),
-        }
+        def start(ctx):
+            if self.transport == "homa":
+                self.client.homa.send_request(
+                    ip, self.port, request, ctx,
+                    on_reply=lambda segments, c: collect(segments,
+                                                         lambda: None))
+                return
+            sock = self.client.stack.connect(ip, self.port, ctx)
+            sock.on_data = lambda s, segment, c: collect(
+                [segment], lambda: s.close(c))
+            sock.on_established = lambda s, c: s.send(request, c)
 
-    def _check_oracles(self):
-        """Liveness and leak checks against the recorder's gauges.
+        self.client.process_on_core(self.client.cpus[0], start)
+        self.sim.run_until_idle(max_events=self.max_events)
+        return result["status"], result["body"]
 
-        The pool/store comparisons read the live metrics registry — the
-        same numbers an operator would see from ``repro-stats`` — so the
-        oracles hold for any transport and any core count without
-        knowing server internals.  Only the refcount-*exact* oracle
-        still walks the store's tables: per-slot expected-vs-actual
-        refcounts are deliberately finer than any gauge.
-        """
-        report = self.report
-        metrics = self.metrics
-        store = self.testbed.engine.store
+    # -- shared oracles ---------------------------------------------------------
 
+    def _check_liveness(self, hosts):
+        """No core of ``hosts`` (``(gauge prefix, cores)`` pairs) may
+        still hold queued work at drain, and no loop may still await a
+        response."""
         # Settle: run_until_idle leaves the clock at the last *event*,
         # which can precede the end of the last core slice by a few µs;
         # advancing past it makes queue_ns a true stuck-work detector.
         self.sim.run(until=self.sim.now + MILLIS)
-
-        # Liveness: at drain, no server core may still have queued work.
-        for index in range(len(self.server.cpus)):
-            queued = metrics.value(f"server.core{index}.queue_ns")
-            if queued > 0:
-                report.violation(
-                    "liveness:core-queue",
-                    f"server core {index} still has {queued:.0f} ns of "
-                    f"queued work after the storm drained",
-                )
-
-        # Leak oracles: after the storm drains, transient users of every
-        # pool are gone; only the store legitimately holds rx slots.
-        for gauge_name, base_key, kind in (
-            ("server.tx_pool.in_use", "server_tx", "leak:server-tx"),
-            ("client.tx_pool.in_use", "client_tx", "leak:client-tx"),
-            ("client.rx_pool.in_use", "client_rx", "leak:client-rx"),
-        ):
-            in_use = metrics.value(gauge_name)
-            if in_use != self.baseline[base_key]:
-                report.violation(
-                    kind,
-                    f"{gauge_name} = {in_use:.0f} "
-                    f"(baseline {self.baseline[base_key]:.0f})",
-                )
-        rx_in_use = metrics.value("server.rx_pool.in_use")
-        store_owned = metrics.value("engine.store.owned")
-        if rx_in_use != store_owned:
-            # Internals only for the diagnostic detail, not the verdict.
-            stray = sorted(set(store.pool._in_use) - set(store._buffers))
-            missing = sorted(set(store._buffers) - set(store.pool._in_use))
-            report.violation(
-                "leak:server-rx",
-                f"server.rx_pool.in_use = {rx_in_use:.0f} but "
-                f"engine.store.owned = {store_owned:.0f} "
-                f"(stray {stray[:8]}, freed-but-referenced {missing[:8]})",
+        for name, cores in hosts:
+            for index in range(cores):
+                queued = self.metrics.value(f"{name}.core{index}.queue_ns")
+                if queued > 0:
+                    self.report.violation(
+                        "liveness:core-queue",
+                        f"{name} core {index} still has {queued:.0f} ns of "
+                        f"queued work after the storm drained",
+                    )
+        stalled = sum(1 for loop in self._conns
+                      if loop.in_flight is not None and not loop.done)
+        if stalled:
+            self.report.violation(
+                "liveness:stalled",
+                f"{stalled} loop(s) still awaiting a response at idle",
             )
 
-        # Refcount oracle: each adopted buffer's refcount equals the
-        # references the store holds on it — nothing else may be
-        # pinning storage buffers once traffic has drained.
-        held = {}
-        for refs in store._refs.values():
-            for buf in refs:
-                held[buf.slot] = held.get(buf.slot, 0) + 1
-        for slot, buf in store._buffers.items():
-            expected = held.get(slot, 0)
-            if buf.refcount != expected:
-                report.violation(
-                    "refcount:buffer",
-                    f"slot {slot}: refcount {buf.refcount}, store holds "
-                    f"{expected}",
-                )
-
-        if self.transport == "homa":
-            self._check_span_links()
-
-        # Durability oracle: the newest acked value (or a later issued
-        # one) per key is what the store serves.
-        for conn in self._conns:
-            for key, value in conn.last_acked.items():
-                stored = self.testbed.engine.get(key)
-                allowed = [value] + conn.issued_after_ack.get(key, [])
-                if stored not in allowed:
-                    got = None if stored is None else stored[:48]
-                    report.violation(
-                        "durability",
-                        f"key {key!r}: stored {got!r} is neither the "
-                        f"acked value nor a later issued one",
-                    )
+    def _check_store(self, label, rx_gauge, owned_gauge, engine):
+        """Only the store holds rx slots once the storm has drained, and
+        each adopted buffer's refcount equals the store's references."""
+        rx_in_use = self.metrics.value(rx_gauge)
+        owned = self.metrics.value(owned_gauge)
+        if rx_in_use != owned:
+            # Internals only for the diagnostic detail, not the verdict.
+            store = engine.store
+            stray = sorted(set(store.pool._in_use) - set(store._buffers))
+            missing = sorted(set(store._buffers) - set(store.pool._in_use))
+            self.report.violation(
+                "leak:server-rx",
+                f"{rx_gauge} = {rx_in_use:.0f} but {owned_gauge} = "
+                f"{owned:.0f} (stray {stray[:8]}, freed-but-referenced "
+                f"{missing[:8]})",
+            )
+        for slot, refcount, held in refcount_mismatches(engine):
+            self.report.violation(
+                "refcount:buffer",
+                f"{label} slot {slot}: refcount {refcount}, store holds "
+                f"{held}",
+            )
 
     def _check_span_links(self):
-        """Span-link oracle (Homa): every retransmitted RPC resolves.
+        """Every retransmitted RPC resolves, and none ran twice.
 
         The recorder threads one chain per RPC id through the trace
         ring (see :mod:`repro.obs.trace`).  After the storm drains,
@@ -469,9 +460,8 @@ class OverloadStorm:
         transport's completed-RPC dedup exists exactly to prevent it).
         """
         report = self.report
-        recorder = self.testbed.recorder
         retransmitted = 0
-        for rpc_id, chain in recorder.chains().items():
+        for rpc_id, chain in self.recorder.chains().items():
             for direction in ("request", "reply"):
                 side = chain[direction]
                 if side["retransmits"] == 0:
@@ -499,25 +489,215 @@ class OverloadStorm:
                 f"their stage costs are double-counted in Table 1",
             )
 
+    def _lost_acks(self, read, keys=None):
+        """``(key, head)`` for each acked key (of ``keys``, if given)
+        whose ``read(key)`` is neither the newest acked value nor one
+        issued after it; ``head`` is what was read, cut to 48 bytes."""
+        for loop in self._conns:
+            for key, value in loop.last_acked.items():
+                if keys is not None and key not in keys:
+                    continue
+                stored = read(key)
+                if stored not in [value] + loop.issued_after_ack.get(key, []):
+                    yield key, None if stored is None else bytes(stored[:48])
+
+
+class OverloadStorm(Storm):
+    """Build the under-provisioned testbed and run the storm."""
+
+    def __init__(self, connections=100, puts_per_conn=6, keys_per_conn=2,
+                 value_size=1400, pool_slots=256, slab_slots=None,
+                 contain=True, zero_copy=False, stalls=4,
+                 storm_faults=True, seed=1, max_events=20_000_000,
+                 transport="tcp", cores=1, config=None, source=None):
+        self.connections = connections
+        self.value_size = value_size
+        # The storm's burst phase is a TrafficSource like any other
+        # generator; passing one in substitutes the traffic (e.g. a
+        # captured stream) while the oracles stay unchanged.
+        self.source = source if source is not None else StormBurstSource(
+            connections, puts_per_conn, keys_per_conn, value_size,
+        )
+        # Default slab sizing: enough for steady state (live keys) but
+        # well short of the versions the burst creates, so the slab —
+        # not just the pool — sees pressure.
+        if slab_slots is None:
+            slab_slots = max(64, connections * keys_per_conn * 2)
+        self.stalls = stalls
+        self.storm_faults = storm_faults
+        self.seed = seed
+        self.max_events = max_events
+
+        # One ServerConfig shapes the whole server side; the individual
+        # kwargs are folded into one (and metrics are always on — the
+        # oracles read the gauges).
+        if config is None:
+            config = ServerConfig(
+                transport=transport,
+                engine="pktstore",
+                cores=cores,
+                zero_copy_get=zero_copy,
+                contain_errors=contain,
+                overload=True if contain else None,
+                metrics=True,
+                engine_kwargs={"meta_bytes": slab_slots * 256},
+            )
+        if not config.metrics:
+            raise ValueError(
+                "OverloadStorm needs config.metrics=True: the liveness "
+                "and leak oracles read the recorder's gauges"
+            )
+        self.config = config
+        self.transport = config.transport
+        self.contain = config.contain_errors
+
+        self.testbed = make_testbed(
+            config=config,
+            paste_pool_bytes=pool_slots * SLOT,
+        )
+        self.overload = self.testbed.overload
+        self.metrics = self.testbed.metrics
+        self.recorder = self.testbed.recorder
+        self.sim = self.testbed.sim
+        self.client = self.testbed.client
+        self.server = self.testbed.server
+        self.port = PORT
+        if self.transport == "homa":
+            self.client.enable_homa()
+        self.report = ChaosReport()
+
+    # -- phases ---------------------------------------------------------------
+
+    def _storm(self):
+        metrics = self.metrics
+        self.baseline = {
+            "server_tx": metrics.value("server.tx_pool.in_use"),
+            "client_tx": metrics.value("client.tx_pool.in_use"),
+            "client_rx": metrics.value("client.rx_pool.in_use"),
+        }
+        self._build_loops(self.connections, self.source)
+        self._stagger(lambda loop, ctx: loop.start(ctx))
+        # Stall clients are a TCP stream phenomenon (half a request
+        # parked in the server's parser); Homa messages are atomic, so
+        # the storm skips them there.
+        stalls = 0 if self.transport == "homa" else self.stalls
+        for stall_id in range(stalls):
+            # Abort after the fault squall clears (60 ms): a RST is never
+            # retransmitted, so one lost to the squall would leave the
+            # server connection half-open with the partial request pinned
+            # — a TCP property, not a containment bug.  The server-side
+            # idle reaper (NetworkStack.enable_idle_reaper, opt in via
+            # ServerConfig(reaper_idle_ns=)) bounds that pin to the idle
+            # timeout.
+            stall = _StallConn(self, stall_id, self.value_size,
+                               stall_ns=70 * MILLIS)
+            core = self.client.cpus[stall_id % len(self.client.cpus)]
+            self.sim.schedule(1_000.0 + stall_id * 3_000.0,
+                              self.client.process_on_core, core, stall.start)
+        self._faults = None
+        if self.storm_faults:
+            # A loss+duplication squall mid-burst; clears before drain.
+            # Keep the handle: the vacuity oracle reads its counters.
+            # Opens at 0.5 ms — fast multi-core configs drain their PUT
+            # burst within a few ms, and a squall that opens after the
+            # last data frame is vacuous (the guard that now fails such
+            # a run is what caught the old 5 ms open being exactly that
+            # for the CI smoke sizings).
+            self._faults = LinkFaults(random.Random(self.seed), loss=0.02,
+                                      duplicate=0.02)
+            self.sim.schedule(MILLIS / 2, self._set_faults, self._faults)
+            self.sim.schedule(60 * MILLIS, self._set_faults, None)
+        self.sim.run_until_idle(max_events=self.max_events)
+        self._probe()
+
+    def _set_faults(self, faults):
+        self.testbed.fabric.faults = faults
+
+    def _probe(self):
+        """Post-storm liveness: a fresh request must get an answer."""
+        probe_key = next(
+            (conn.keys[0] for conn in self._conns if conn.keys), b"probe"
+        )
+        status, _body = self._get(probe_key, SERVER_IP)
+        self.report.probe_ok = status in (200, 404, 503)
+        if not self.report.probe_ok:
+            self.report.violation(
+                "liveness:probe",
+                f"post-storm GET got {status!r} (expected 200/404/503)",
+            )
+
+    # -- oracles --------------------------------------------------------------
+
+    def _check(self):
+        """Progress, vacuity, liveness, leak, span-link and durability.
+
+        The pool/store comparisons read the live metrics registry — the
+        same numbers an operator would see from ``repro-stats`` — so the
+        oracles hold for any transport and any core count without
+        knowing server internals.  Only the refcount-*exact* oracle
+        still walks the store's tables: per-slot expected-vs-actual
+        refcounts are deliberately finer than any gauge.
+        """
+        report = self.report
+        metrics = self.metrics
+        if report.acked_puts == 0:
+            report.violation(
+                "liveness:no-progress", "not a single PUT was acked"
+            )
+        self._check_vacuity()
+        if self.contain and report.responses.get(503, 0) == 0 and \
+                report.responses.get(507, 0) == 0:
+            report.violation(
+                "config:no-overload",
+                "storm never triggered shedding — the world is not "
+                "under-provisioned enough to test anything",
+            )
+        self._check_liveness([("server", len(self.server.cpus))])
+
+        # Leak oracles: after the storm drains, transient users of every
+        # pool are gone; only the store legitimately holds rx slots.
+        for gauge_name, base_key, kind in (
+            ("server.tx_pool.in_use", "server_tx", "leak:server-tx"),
+            ("client.tx_pool.in_use", "client_tx", "leak:client-tx"),
+            ("client.rx_pool.in_use", "client_rx", "leak:client-rx"),
+        ):
+            in_use = metrics.value(gauge_name)
+            if in_use != self.baseline[base_key]:
+                report.violation(
+                    kind,
+                    f"{gauge_name} = {in_use:.0f} "
+                    f"(baseline {self.baseline[base_key]:.0f})",
+                )
+        self._check_store("server", "server.rx_pool.in_use",
+                          "engine.store.owned", self.testbed.engine)
+
+        if self.transport == "homa":
+            self._check_span_links()
+
+        # Durability oracle: the newest acked value (or a later issued
+        # one) per key is what the store serves.
+        for key, got in self._lost_acks(self.testbed.engine.get):
+            report.violation(
+                "durability",
+                f"key {key!r}: stored {got!r} is neither the acked value "
+                f"nor a later issued one",
+            )
+
     def _check_vacuity(self):
         """A storm that stressed nothing proves nothing — fail loudly.
 
         A quiet pass is worse than a failure: the oracles all "hold"
-        while the code under test never ran.  Three ways a storm can go
-        vacuous, each a configuration bug, not a server bug: the burst
-        issued zero requests, the fault squall was requested but never
-        touched a frame, or the stall clients were requested but none
-        ever reset.  (Retransmit vacuity stays advisory — see
-        :meth:`_check_span_links` — because whether the squall forces a
-        retransmit is legitimately seed-dependent; whether it drops any
-        frame at all, across a multi-thousand-frame storm, is not.)
+        while the code under test never ran.  Besides a burst that
+        issued zero requests (:meth:`Storm.run`), two ways a storm can
+        go vacuous, each a configuration bug, not a server bug: the
+        fault squall was requested but never touched a frame, or the
+        stall clients were requested but none ever reset.  (Retransmit vacuity stays advisory — see
+        :meth:`Storm._check_span_links` — because whether the squall
+        forces a retransmit is legitimately seed-dependent; whether it
+        drops any frame at all, across a multi-thousand-frame storm, is
+        not.)
         """
         report = self.report
-        if report.attempted_puts == 0:
-            report.violation(
-                "vacuous:no-requests",
-                "the storm phase issued zero PUTs — nothing was tested",
-            )
         if self.storm_faults and self._faults is not None:
             faults = self._faults
             observed = (faults.dropped + faults.duplicated +
@@ -539,150 +719,44 @@ class OverloadStorm:
                 f"never ran",
             )
 
-    # -- phases ---------------------------------------------------------------
-
-    def _launch(self):
-        self._conns = []
-        loop_class = _HomaBurstLoop if self.transport == "homa" else _BurstConn
-        for conn_id in range(self.connections):
-            conn = loop_class(self, conn_id, self.source)
-            self._conns.append(conn)
-            core = self.client.cpus[conn_id % len(self.client.cpus)]
-            # Stagger connection setup so the SYN flood itself doesn't
-            # serialise into one processing slice.
-            self.sim.schedule(
-                conn_id * 2_000.0,
-                lambda c=conn, co=core: self.client.process_on_core(
-                    co, c.start
-                ),
-            )
-        # Stall clients are a TCP stream phenomenon (half a request
-        # parked in the server's parser); Homa messages are atomic, so
-        # the storm skips them there.
-        stalls = 0 if self.transport == "homa" else self.stalls
-        for stall_id in range(stalls):
-            # Abort after the fault squall clears (60 ms): a RST is never
-            # retransmitted, so one lost to the squall would leave the
-            # server connection half-open with the partial request pinned
-            # — a TCP property, not a containment bug.  The server-side
-            # idle reaper (NetworkStack.enable_idle_reaper, opt in via
-            # reaper_idle_ns=) bounds that pin to the idle timeout.
-            stall = _StallConn(self, stall_id, self.value_size,
-                               stall_ns=70 * MILLIS)
-            core = self.client.cpus[stall_id % len(self.client.cpus)]
-            self.sim.schedule(
-                1_000.0 + stall_id * 3_000.0,
-                lambda s=stall, co=core: self.client.process_on_core(
-                    co, s.start
-                ),
-            )
-        self._faults = None
-        if self.storm_faults:
-            # A loss+duplication squall mid-burst; clears before drain.
-            # Keep the handle: the vacuity oracle reads its counters.
-            # Opens at 0.5 ms — fast multi-core configs drain their PUT
-            # burst within a few ms, and a squall that opens after the
-            # last data frame is vacuous (the guard that now fails such
-            # a run is what caught the old 5 ms open being exactly that
-            # for the CI smoke sizings).
-            self._faults = LinkFaults(random.Random(self.seed), loss=0.02,
-                                      duplicate=0.02)
-            self.sim.schedule(MILLIS / 2, self._set_faults, self._faults)
-            self.sim.schedule(60 * MILLIS, self._set_faults, None)
-
-    def _set_faults(self, faults):
-        self.testbed.fabric.faults = faults
-
-    def _probe(self):
-        """Post-storm liveness: a fresh request must get an answer."""
-        probe_key = next(
-            (conn.keys[0] for conn in self._conns if conn.keys), b"probe"
-        )
-        result = {"status": None}
-        parser = HttpParser(is_response=True)
-        request = build_request("GET", "/" + probe_key.decode())
-
-        def start_tcp(ctx):
-            sock = self.client.stack.connect(SERVER_IP, PORT, ctx)
-
-            def on_data(s, segment, c):
-                for message in parser.feed(segment):
-                    result["status"] = message.status
-                    message.release()
-                    s.close(c)
-
-            sock.on_data = on_data
-            sock.on_established = lambda s, c: s.send(request, c)
-
-        def start_homa(ctx):
-            def on_reply(segments, c):
-                for segment in segments:
-                    for message in parser.feed(segment):
-                        result["status"] = message.status
-                        message.release()
-
-            self.client.homa.send_request(SERVER_IP, PORT, request, ctx,
-                                          on_reply=on_reply)
-
-        start = start_homa if self.transport == "homa" else start_tcp
-        self.client.process_on_core(self.client.cpus[0], start)
-        self.sim.run_until_idle(max_events=self.max_events)
-        self.report.probe_ok = result["status"] in (200, 404, 503)
-        if not self.report.probe_ok:
-            self.report.violation(
-                "liveness:probe",
-                f"post-storm GET got {result['status']!r} "
-                "(expected 200/404/503)",
-            )
-
-    # -- run ------------------------------------------------------------------
-
-    def run(self):
-        self._capture_baseline()
-        self._launch()
-        try:
-            self.sim.run_until_idle(max_events=self.max_events)
-            self._probe()
-        except Exception as exc:  # noqa: BLE001 — a crash IS the finding
-            self.report.crashed = exc
-            self.report.violation(
-                "crash", f"{type(exc).__name__}: {exc}"
-            )
-            self._finalize()
-            return self.report
-
-        if self.report.acked_puts == 0:
-            self.report.violation(
-                "liveness:no-progress", "not a single PUT was acked"
-            )
-        self._check_vacuity()
-        if self.contain and self.report.responses.get(503, 0) == 0 and \
-                self.report.responses.get(507, 0) == 0:
-            self.report.violation(
-                "config:no-overload",
-                "storm never triggered shedding — the world is not "
-                "under-provisioned enough to test anything",
-            )
-        dead = sum(1 for c in self._conns if c.in_flight is not None
-                   and not c.done)
-        if dead:
-            self.report.violation(
-                "liveness:stalled",
-                f"{dead} connection(s) still awaiting a response at idle",
-            )
-        self._check_oracles()
-        self._finalize()
-        return self.report
-
     def _finalize(self):
         self.report.server_stats = dict(self.testbed.kv.stats)
         if self.overload is not None:
             self.report.overload_stats = dict(self.overload.stats)
 
 
-def run_overload_storm(**kwargs):
-    """Convenience: build and run one storm; returns the ChaosReport."""
-    return OverloadStorm(**kwargs).run()
+class _StallConn:
+    """A slow client: sends half a PUT, stalls, then resets.
+
+    The half-request's body slices sit retained in the server's parser;
+    the RST must release them (connection-level resilience) or the
+    stall permanently pins pool slots.
+    """
+
+    def __init__(self, storm, conn_id, value_size, stall_ns):
+        self.storm = storm
+        self.conn_id = conn_id
+        self.value_size = value_size
+        self.stall_ns = stall_ns
+        self.sock = None
+
+    def start(self, ctx):
+        self.sock = self.storm.client.stack.connect(SERVER_IP, PORT, ctx)
+        self.sock.on_established = self._send_half
+
+    def _send_half(self, sock, ctx):
+        request = build_request(
+            "PUT", f"/stall-{self.conn_id}", bytes(self.value_size)
+        )
+        sock.send(request[:len(request) // 2], ctx)
+        self.storm.sim.schedule(self.stall_ns, self._abort)
+
+    def _abort(self):
+        if self.sock.state.value != "CLOSED":
+            self.storm.report.stall_aborts += 1
+            self.storm.client.process_on_core(
+                self.sock.core, lambda ctx: self.sock.abort(ctx)
+            )
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -751,93 +825,64 @@ def build_parser():
     return parser
 
 
-def _main_cluster(args):
-    """``repro-chaoscheck --cluster``: the whole-host-kill storm.
-
-    The overload-storm knobs map onto the cluster storm: connections
-    become client loops, puts-per-conn the per-burst put count (the
-    storm runs two bursts, the kill lands inside the second).
-    """
-    from repro.testing.chaos_cluster import run_host_kill_storm
-
-    print(f"[cluster-chaos] storm: {args.hosts} hosts x{args.cores}core, "
-          f"ack_policy={args.ack_policy}, {args.connections} loops x "
-          f"2x{args.puts_per_conn} PUTs ({args.value_size} B), "
-          f"pool {args.pool_slots} slots, seed {args.seed}")
-    report = run_host_kill_storm(
-        hosts=args.hosts,
-        cores=args.cores,
-        ack_policy=args.ack_policy,
-        loops=args.connections,
-        puts_per_loop=args.puts_per_conn,
-        keys_per_loop=args.keys_per_conn,
-        value_size=args.value_size,
-        pool_slots=args.pool_slots,
-        seed=args.seed,
-        max_events=args.max_events,
-    )
-    print(report.summary())
-    if args.expect_violations:
-        if report.ok:
-            print("[cluster-chaos] FAIL: expected violations, storm was "
-                  "clean")
-            return 1
-        print(f"[cluster-chaos] OK: gap detected "
-              f"({len(report.violations)} violations, as expected)")
-        return 0
-    if not report.ok:
-        print("[cluster-chaos] FAIL: failover contract violated")
-        return 1
-    print("[cluster-chaos] OK: acked puts survived the host kill, "
-          "refcounts exact, traces stitched")
-    return 0
-
-
 def main(argv=None):
-    import sys
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.cluster:
-        return _main_cluster(args)
-    contain = not args.no_containment
-    print(f"[chaos] storm: {args.transport} x{args.cores}core, "
-          f"{args.connections} conns x "
-          f"{args.puts_per_conn} PUTs ({args.value_size} B), "
-          f"pool {args.pool_slots} slots, stalls {args.stalls}, "
-          f"faults {'off' if args.no_faults else 'on'}, "
-          f"containment {'on' if contain else 'OFF'}")
-    report = run_overload_storm(
-        transport=args.transport,
-        cores=args.cores,
-        connections=args.connections,
-        puts_per_conn=args.puts_per_conn,
-        keys_per_conn=args.keys_per_conn,
-        value_size=args.value_size,
-        pool_slots=args.pool_slots,
-        slab_slots=args.slab_slots,
-        contain=contain,
-        zero_copy=args.zero_copy,
-        stalls=args.stalls,
-        storm_faults=not args.no_faults,
-        seed=args.seed,
-        max_events=args.max_events,
-    )
-    print(report.summary())
+        from repro.testing.chaos_cluster import HostKillStorm
 
-    if args.expect_violations:
-        if report.ok:
-            print("[chaos] FAIL: expected violations, storm was clean")
-            return 1
-        print(f"[chaos] OK: containment gap detected "
-              f"({len(report.violations)} violations, as expected)")
-        return 0
-    if not report.ok:
-        print("[chaos] FAIL: overload contract violated")
-        return 1
-    print("[chaos] OK: server stayed live, acked writes durable, "
-          "no leaks after the storm")
-    return 0
+        # The overload-storm knobs map onto the cluster storm:
+        # connections become client loops, puts-per-conn the per-burst
+        # put count (the storm runs two bursts, the kill lands inside
+        # the second).
+        print(f"[cluster-chaos] storm: {args.hosts} hosts x{args.cores}core, "
+              f"ack_policy={args.ack_policy}, {args.connections} loops x "
+              f"2x{args.puts_per_conn} PUTs ({args.value_size} B), "
+              f"pool {args.pool_slots} slots, seed {args.seed}")
+        storm = HostKillStorm(
+            hosts=args.hosts,
+            cores=args.cores,
+            ack_policy=args.ack_policy,
+            loops=args.connections,
+            puts_per_loop=args.puts_per_conn,
+            keys_per_loop=args.keys_per_conn,
+            value_size=args.value_size,
+            pool_slots=args.pool_slots,
+            seed=args.seed,
+            max_events=args.max_events,
+        )
+        held = ("acked puts survived the host kill, refcounts exact, "
+                "traces stitched")
+        broken = "failover contract violated"
+    else:
+        contain = not args.no_containment
+        print(f"[chaos] storm: {args.transport} x{args.cores}core, "
+              f"{args.connections} conns x "
+              f"{args.puts_per_conn} PUTs ({args.value_size} B), "
+              f"pool {args.pool_slots} slots, stalls {args.stalls}, "
+              f"faults {'off' if args.no_faults else 'on'}, "
+              f"containment {'on' if contain else 'OFF'}")
+        storm = OverloadStorm(
+            transport=args.transport,
+            cores=args.cores,
+            connections=args.connections,
+            puts_per_conn=args.puts_per_conn,
+            keys_per_conn=args.keys_per_conn,
+            value_size=args.value_size,
+            pool_slots=args.pool_slots,
+            slab_slots=args.slab_slots,
+            contain=contain,
+            zero_copy=args.zero_copy,
+            stalls=args.stalls,
+            storm_faults=not args.no_faults,
+            seed=args.seed,
+            max_events=args.max_events,
+        )
+        held = ("server stayed live, acked writes durable, no leaks after "
+                "the storm")
+        broken = "overload contract violated"
+    report = storm.run()
+    print(report.summary())
+    return exit_status(report, args.expect_violations, held, broken)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ case the squall of traffic misses the corpse.  Then the oracles:
   *current* primary after the kill and failover.  Under
   ``ack_policy="sync"`` an ack means two hosts applied the put, so the
   promoted backup must serve it — this is the claim the replication
-  design exists to earn;
+  design exists to earn.  It is checked twice: at the promotion itself,
+  for every key the victim owned (before the second burst overwrites
+  them), and once more after the storm, for every key;
 - **refcount exactness** — on every surviving host, the rx pool's
   in-use count equals the store's owned count and each adopted
   buffer's refcount equals the references the store holds (the same
@@ -30,49 +32,30 @@ case the squall of traffic misses the corpse.  Then the oracles:
 
 from repro.bench.workloads import StormBurstSource
 from repro.cluster.topology import ClusterConfig, build_cluster
-from repro.net.http import HttpParser, build_request
 from repro.sim.units import MILLIS
-
-#: Per-attempt client watchdog.  Far below Homa's 50 ms give-up: the
-#: router's failure detection is driven by these expiries, and two of
-#: them must fire before the failover (fail_threshold=2).
-WATCHDOG_NS = 10 * MILLIS
-
-#: Attempts per logical put before the loop abandons it (counted).
-MAX_ATTEMPTS = 8
+from repro.testing.chaos import Storm, StormReport
 
 
-class ClusterChaosReport:
+class ClusterChaosReport(StormReport):
     """Outcome of one host-kill storm."""
 
+    tag = "[cluster-chaos]"
+    clean = "contract held: every acked put survived the host that acked it"
+
     def __init__(self):
-        self.violations = []
-        self.responses = {200: 0, 503: 0, 507: 0, 400: 0, 404: 0}
-        self.attempted_puts = 0
-        self.acked_puts = 0
+        super().__init__()
         self.acked_by_phase = {"pre": 0, "kill": 0, "post": 0}
-        self.retries = 0
-        self.timeouts = 0
-        self.give_ups = 0
-        self.abandoned_puts = 0
-        self.crashed = None
         self.victim = None
         self.kills = 0
         self.failovers = 0
         self.failover_by = None       # "router" or "failsafe"
+        #: acked victim keys read from the promoted backup at promotion
+        self.promotion_checked = 0
         self.stitched_families = 0
         self.degraded_acks = 0
-        self.probe_ok = False
         self.repl_stats = {}
 
-    @property
-    def ok(self):
-        return not self.violations
-
-    def violation(self, kind, detail):
-        self.violations.append((kind, detail))
-
-    def summary(self):
+    def header(self):
         lines = [
             f"[cluster-chaos] puts acked {self.acked_puts}/"
             f"{self.attempted_puts} "
@@ -83,7 +66,8 @@ class ClusterChaosReport:
             f"give-ups {self.give_ups}",
             f"[cluster-chaos] victim {self.victim}: kills {self.kills}, "
             f"failover by {self.failover_by or 'NOBODY'}, "
-            f"degraded acks {self.degraded_acks}",
+            f"degraded acks {self.degraded_acks}, "
+            f"{self.promotion_checked} acked key(s) read at promotion",
             f"[cluster-chaos] span stitching: {self.stitched_families} "
             f"replicated put(s) traced across hosts",
         ]
@@ -91,150 +75,19 @@ class ClusterChaosReport:
             lines.append("[cluster-chaos] replication: " + ", ".join(
                 f"{k} {v}" for k, v in sorted(self.repl_stats.items())
                 if not k.startswith("lag")))
-        if self.crashed is not None:
-            lines.append(f"[cluster-chaos] CRASH: {self.crashed!r}")
-        if self.violations:
-            lines.append(
-                f"[cluster-chaos] {len(self.violations)} violation(s):")
-            for kind, detail in self.violations[:10]:
-                lines.append(f"[cluster-chaos]   {kind}: {detail}")
-            if len(self.violations) > 10:
-                lines.append(
-                    f"[cluster-chaos]   ... {len(self.violations) - 10} more")
-        else:
-            lines.append("[cluster-chaos] contract held: every acked put "
-                         "survived the host that acked it")
-        return "\n".join(lines)
+        return lines
 
 
-class _ShardLoop:
-    """One closed-loop requester, routed by the live ring each attempt.
-
-    A put retries (same key, same value) after a watchdog expiry or a
-    transport give-up, re-routing each time — after the failover the
-    same key lands on the promoted backup.  Ack bookkeeping mirrors the
-    single-host storm: the durability oracle accepts the newest acked
-    value or any value issued after it.
-    """
-
-    def __init__(self, world, loop_id, source):
-        self.world = world
-        self.loop_id = loop_id
-        self.source = source
-        self.keys = [key.encode() for key in source.keys_for(loop_id)]
-        self.sent = 0
-        self.done = False
-        self.core = None
-        self.awaiting = None          # (seq, attempt) of the live RPC
-        self.attempt = 0
-        self.in_flight = None         # (key, value) awaiting its reply
-        self.last_acked = {}          # key -> newest acked value
-        self.acked_rpcs = {}          # key -> rpc_id of the acking attempt
-        self.acked_phase = {}         # key -> storm phase at ack time
-        self.issued_after_ack = {}    # key -> [values issued after last ack]
-        self.target = None            # node name of the current attempt
-
-    def start(self, ctx):
-        cpus = self.world.client.cpus
-        self.core = cpus[self.loop_id % len(cpus)]
-        self._next(ctx)
-
-    def resume(self, extra_puts, ctx):
-        """Second burst: the same loop issues ``extra_puts`` more."""
-        self.source.extend(self.loop_id, extra_puts)
-        if self.done:
-            self.done = False
-            self._next(ctx)
-
-    def _next(self, ctx):
-        op = self.source.next_op(self.loop_id)
-        if op is None:
-            self.done = True
-            return
-        _method, key_str, value = op
-        key = key_str.encode()
-        self.in_flight = (key, value)
-        self.issued_after_ack.setdefault(key, []).append(value)
-        self.sent += 1
-        self.attempt = 0
-        self.world.report.attempted_puts += 1
-        self._fire(key, value, ctx)
-
-    def _fire(self, key, value, ctx):
-        seq = self.sent - 1
-        token = (seq, self.attempt)
-        self.awaiting = token
-        self.target = self.world.router.primary(key)
-        ip = self.world.router.ip_of(self.target)
-        rpc_id = self.world.client.homa.send_request(
-            ip, self.world.port,
-            build_request("PUT", "/" + key.decode(), value), ctx,
-            on_reply=lambda segments, c, t=token: self._on_reply(
-                t, segments, c),
-            on_giveup=lambda _rpc, t=token: self._on_giveup(t),
-        )
-        self._rpc_id = rpc_id
-        self.world.sim.schedule(WATCHDOG_NS, self._watchdog, token)
-
-    def _retry(self, ctx):
-        key, value = self.in_flight
-        if self.attempt + 1 >= MAX_ATTEMPTS:
-            self.world.report.abandoned_puts += 1
-            self.in_flight = None
-            self._next(ctx)
-            return
-        self.attempt += 1
-        self.world.report.retries += 1
-        self._fire(key, value, ctx)
-
-    def _on_reply(self, token, segments, ctx):
-        if self.awaiting != token:
-            return  # superseded attempt; a retry already took over
-        self.awaiting = None
-        self.world.router.report_success(self.target)
-        parser = HttpParser(is_response=True)
-        status = None
-        for segment in segments:
-            for message in parser.feed(segment):
-                status = message.status
-                message.release()
-        parser.reset()
-        if status is not None:
-            self.world.report.responses[status] = \
-                self.world.report.responses.get(status, 0) + 1
-            if self.in_flight is not None and status == 200:
-                key, value = self.in_flight
-                self.last_acked[key] = value
-                self.acked_rpcs[key] = self._rpc_id
-                self.acked_phase[key] = self.world.phase
-                self.issued_after_ack[key] = []
-                self.world.report.acked_puts += 1
-                self.world.report.acked_by_phase[self.world.phase] += 1
-        self.in_flight = None
-        if not self.done:
-            self._next(ctx)
-
-    def _on_giveup(self, token):
-        """The transport declared the peer dead (abort_peer/failover):
-        skip the rest of the watchdog wait and retry immediately."""
-        if self.awaiting != token:
-            return
-        self.awaiting = None
-        self.world.report.give_ups += 1
-        self.world.report_failure(self.target)
-        self.world.client.process_on_core(self.core, self._retry)
-
-    def _watchdog(self, token):
-        if self.awaiting != token:
-            return
-        self.awaiting = None
-        self.world.report.timeouts += 1
-        self.world.report_failure(self.target)
-        self.world.client.process_on_core(self.core, self._retry)
-
-
-class HostKillStorm:
+class HostKillStorm(Storm):
     """Build the cluster, storm it, kill a primary, check the contract."""
+
+    #: Per-attempt client watchdog.  Far below Homa's 50 ms give-up: the
+    #: router's failure detection is driven by these expiries, and two
+    #: of them must fire before the failover (fail_threshold=2).
+    WATCHDOG_NS = 10 * MILLIS
+    #: Attempts per logical put before the loop abandons it (counted).
+    MAX_ATTEMPTS = 8
+    RETRY_ON_GIVE_UP = True
 
     def __init__(self, hosts=3, loops=8, puts_per_loop=5, keys_per_loop=2,
                  value_size=1024, ack_policy="sync", seed=1, cores=1,
@@ -252,8 +105,6 @@ class HostKillStorm:
         self.config = config
         self.loops = loops
         self.puts_per_loop = puts_per_loop
-        self.keys_per_loop = keys_per_loop
-        self.value_size = value_size
         self.seed = seed
         self.kill_delay_ns = kill_delay_ns
         self.failsafe_ns = failsafe_ns
@@ -273,21 +124,29 @@ class HostKillStorm:
         self.router = self.cluster.router
         self.recorder = self.cluster.recorder
         self.metrics = self.cluster.metrics
+        self.transport = "homa"
         self.port = config.port
         self.report = ClusterChaosReport()
         self.phase = "pre"
         self.victim = None
+        self._victim_keys = []
         self._conns = []
 
-    # -- phase / failure plumbing ---------------------------------------------
+    # -- routing, failure detection, promotion ----------------------------------
 
-    def report_failure(self, name):
+    def route(self, key):
+        """Each attempt goes to the key's primary in the live ring."""
+        target = self.router.primary(key)
+        return target, self.router.ip_of(target)
+
+    def report_success(self, target):
+        self.router.report_success(target)
+
+    def report_failure(self, target):
         """Loop-observed failure; a router-triggered failover flips the
         storm into its post-failover phase."""
-        if self.router.report_failure(name):
-            self.phase = "post"
-            if self.report.failover_by is None:
-                self.report.failover_by = "router"
+        if self.router.report_failure(target):
+            self._promoted("router")
 
     def _kill_victim(self):
         self.cluster.kill(self.victim)
@@ -299,22 +158,50 @@ class HostKillStorm:
         control plane's timer does."""
         if self.victim in self.cluster.ring.alive:
             self.cluster.failover(self.victim)
-            self.phase = "post"
-            if self.report.failover_by is None:
-                self.report.failover_by = "failsafe"
+            self._promoted("failsafe")
+
+    def _promoted(self, by):
+        """The victim's shards now route to their backups.
+
+        Under ``ack_policy="sync"`` an ack meant the backup applied the
+        put, so at this instant every victim key the promoted backup
+        serves must be its newest acked value or a later issued one.
+        Checking now, before the second burst rewrites those keys,
+        is what puts the *pre-kill* acks on trial.  The read uses the
+        engine directly with a null context: it adds no simulated
+        events and charges no core.
+        """
+        self.phase = "post"
+        if self.report.failover_by is None:
+            self.report.failover_by = by
+        if self.config.ack_policy != "sync":
+            return  # primary-only acks may legally lose the kill window
+        self.report.promotion_checked += sum(
+            1 for loop in self._conns for key in loop.last_acked
+            if key in self._victim_keys)
+        for key, got in self._lost_acks(self.cluster.read_value,
+                                        self._victim_keys):
+            self.report.violation(
+                "durability:promotion",
+                f"key {key!r}: promoted {self.router.primary(key)} holds "
+                f"{got!r} at failover, not the acked value or a later "
+                f"issued one",
+            )
 
     # -- phases ---------------------------------------------------------------
 
-    def _launch(self):
-        for loop_id in range(self.loops):
-            loop = _ShardLoop(self, loop_id, self.source)
-            self._conns.append(loop)
-            core = self.client.cpus[loop_id % len(self.client.cpus)]
-            self.sim.schedule(
-                loop_id * 2_000.0,
-                lambda c=loop, co=core: self.client.process_on_core(
-                    co, c.start),
-            )
+    def _storm(self):
+        self._build_loops(self.loops, self.source)
+        self._stagger(lambda loop, ctx: loop.start(ctx))
+        self.sim.run_until_idle(max_events=self.max_events)
+        self._pick_victim()
+        # The post-kill burst: every loop issues the same count again,
+        # retrying through detection and failover.
+        self._stagger(lambda loop, ctx: loop.resume(self.puts_per_loop, ctx))
+        self.sim.schedule(self.kill_delay_ns, self._kill_victim)
+        self.sim.schedule(self.failsafe_ns, self._failsafe)
+        self.sim.run_until_idle(max_events=self.max_events)
+        self._probe()
 
     def _pick_victim(self):
         """The primary owning the most loop keys: guaranteed to hold
@@ -331,186 +218,80 @@ class HostKillStorm:
             if self.router.primary(key) == self.victim
         ]
 
-    def _second_burst(self):
-        """The post-kill burst: every loop issues the same count again,
-        retrying through detection and failover."""
-        for loop in self._conns:
-            core = self.client.cpus[loop.loop_id % len(self.client.cpus)]
-            self.sim.schedule(
-                loop.loop_id * 2_000.0,
-                lambda c=loop, co=core: self.client.process_on_core(
-                    co, lambda ctx: c.resume(self.puts_per_loop, ctx)),
-            )
-        self.sim.schedule(self.kill_delay_ns, self._kill_victim)
-        self.sim.schedule(self.failsafe_ns, self._failsafe)
-
     def _probe(self):
         """End-to-end read-your-acked-writes: GET a victim-owned key
         over the network from whatever the ring now routes to."""
-        probed = None
-        for loop in self._conns:
-            for key in self._victim_keys:
-                if key in loop.last_acked:
-                    probed = (key, loop)
-                    break
-            if probed:
-                break
+        probed = next(((key, loop) for loop in self._conns
+                       for key in self._victim_keys
+                       if key in loop.last_acked), None)
         if probed is None:
             return  # the vacuity oracle flags this separately
         key, loop = probed
         allowed = [loop.last_acked[key]] + loop.issued_after_ack.get(key, [])
-        result = {"status": None, "body": None}
-        parser = HttpParser(is_response=True)
-        ip = self.router.ip_of(self.router.primary(key))
-
-        def on_reply(segments, c):
-            for segment in segments:
-                for message in parser.feed(segment):
-                    result["status"] = message.status
-                    result["body"] = message.body
-                    message.release()
-
-        self.client.process_on_core(
-            self.client.cpus[0],
-            lambda ctx: self.client.homa.send_request(
-                ip, self.port, build_request("GET", "/" + key.decode()),
-                ctx, on_reply=on_reply),
-        )
-        self.sim.run_until_idle(max_events=self.max_events)
-        self.report.probe_ok = (result["status"] == 200
-                                and result["body"] in allowed)
+        status, body = self._get(key, self.router.ip_of(
+            self.router.primary(key)))
+        self.report.probe_ok = status == 200 and body in allowed
         if not self.report.probe_ok:
             self.report.violation(
                 "durability:probe",
-                f"post-failover GET /{key.decode()} got "
-                f"{result['status']!r} — the promoted primary does not "
-                f"serve the acked put over the network",
+                f"post-failover GET /{key.decode()} got {status!r} — the "
+                f"promoted primary does not serve the acked put over the "
+                f"network",
             )
 
     # -- oracles --------------------------------------------------------------
 
-    def _check_oracles(self):
+    def _check(self):
         report = self.report
-        metrics = self.metrics
-        self.sim.run(until=self.sim.now + MILLIS)
+        survivors = self.cluster.alive_nodes()
+        self._check_liveness([(node.name, len(node.host.cpus))
+                              for node in survivors])
 
-        # Liveness: no survivor core may be sitting on queued work.
-        for node in self.cluster.alive_nodes():
-            for index in range(len(node.host.cpus)):
-                queued = metrics.value(f"{node.name}.core{index}.queue_ns")
-                if queued > 0:
-                    report.violation(
-                        "liveness:core-queue",
-                        f"{node.name} core {index} still has "
-                        f"{queued:.0f} ns of queued work after the drain",
-                    )
-        stalled = sum(1 for c in self._conns
-                      if c.in_flight is not None and not c.done)
-        if stalled:
+        # Refcount exactness, per survivor.
+        for node in survivors:
+            self._check_store(node.name, f"{node.name}.rx_pool.in_use",
+                              f"{node.name}.engine.store.owned", node.engine)
+
+        # Orphans are checked across hosts: terminal give-up spans
+        # (abort_peer) cover messages aimed at, or half-received from,
+        # the corpse.
+        self._check_span_links()
+        self._check_stitching()
+
+        # Every acked put is readable from the key's current primary —
+        # including every key the dead host used to own.
+        for key, got in self._lost_acks(self.cluster.read_value):
             report.violation(
-                "liveness:stalled",
-                f"{stalled} loop(s) still awaiting a response at idle",
+                "durability:failover" if key in self._victim_keys
+                else "durability",
+                f"key {key!r} (now on {self.router.primary(key)}): stored "
+                f"{got!r} is neither the acked value nor a later issued one",
             )
-
-        # Refcount exactness, per survivor: the rx pool and the store
-        # agree, and every adopted buffer's refcount equals the
-        # references the store holds on it.
-        for node in self.cluster.alive_nodes():
-            rx_in_use = metrics.value(f"{node.name}.rx_pool.in_use")
-            owned = metrics.value(f"{node.name}.engine.store.owned")
-            if rx_in_use != owned:
-                report.violation(
-                    "leak:server-rx",
-                    f"{node.name}: rx_pool.in_use = {rx_in_use:.0f} but "
-                    f"store.owned = {owned:.0f}",
-                )
-            store = getattr(node.engine, "store", None)
-            if store is None:
-                continue
-            held = {}
-            for refs in store._refs.values():
-                for buf in refs:
-                    held[buf.slot] = held.get(buf.slot, 0) + 1
-            for slot, buf in store._buffers.items():
-                expected = held.get(slot, 0)
-                if buf.refcount != expected:
-                    report.violation(
-                        "refcount:buffer",
-                        f"{node.name} slot {slot}: refcount "
-                        f"{buf.refcount}, store holds {expected}",
-                    )
-
-        self._check_span_stitching()
-        self._check_durability()
         self._check_vacuity()
 
-    def _check_durability(self):
-        """Every acked put is readable from the key's current primary —
-        including every key the dead host used to own."""
-        for loop in self._conns:
-            for key, value in loop.last_acked.items():
-                stored = self.cluster.read_value(key)
-                allowed = [value] + loop.issued_after_ack.get(key, [])
-                if stored not in allowed:
-                    got = None if stored is None else bytes(stored[:48])
-                    owner = self.router.primary(key)
-                    report_kind = ("durability:failover"
-                                   if key in self._victim_keys
-                                   else "durability")
-                    self.report.violation(
-                        report_kind,
-                        f"key {key!r} (now on {owner}): stored {got!r} "
-                        f"is neither the acked value nor a later issued "
-                        f"one",
-                    )
+    def _check_stitching(self):
+        """One request, one trace — across hosts, kills and retries.
 
-    def _check_span_stitching(self):
-        """One request, one trace — across hosts, kills and retries."""
-        report = self.report
-        recorder = self.recorder
-
-        # Orphans: any retransmitted direction must have ended in
-        # delivery or a terminal give-up (abort_peer covers messages
-        # aimed at — or half-received from — the corpse).
-        for rpc_id, chain in recorder.chains().items():
-            for direction in ("request", "reply"):
-                if chain[direction]["retransmits"] == 0:
-                    continue
-                if direction not in chain["delivered"] and \
-                        direction not in chain["gave_up"]:
-                    report.violation(
-                        "spanlink:orphan",
-                        f"rpc {rpc_id} {direction}: "
-                        f"{chain[direction]['retransmits']} retransmit(s) "
-                        f"but neither delivered nor given up",
-                    )
-
-        # Stitching: an acked put outside the detection window had a
-        # live backup, so its origin RPC must trace into at least one
-        # replication RPC.  (Kill-window acks may legitimately have
-        # degraded via the suspect fast-path without a forward.)
+        An acked put outside the detection window had a live backup, so
+        its origin RPC must trace into at least one replication RPC.
+        (Kill-window acks may legitimately have degraded via the suspect
+        fast-path without a forward.)
+        """
         families = 0
         for loop in self._conns:
             for key, rpc_id in loop.acked_rpcs.items():
-                stitched = recorder.stitched(rpc_id)
+                stitched = self.recorder.stitched(rpc_id)
                 if len(stitched) > 1:
                     families += 1
                 elif loop.acked_phase.get(key) in ("pre", "post") and \
                         len(self.cluster.ring.alive) >= 2:
-                    report.violation(
+                    self.report.violation(
                         "spanlink:unstitched",
                         f"key {key!r}: acked rpc {rpc_id} "
                         f"({loop.acked_phase.get(key)}-phase) has no "
                         f"replication hop in its trace",
                     )
-        report.stitched_families = families
-
-        double = self.metrics.value("server.rpc.double_dispatch")
-        if double:
-            report.violation(
-                "spanlink:double-dispatch",
-                f"{double:.0f} RPC(s) ran a handler more than once",
-            )
+        self.report.stitched_families = families
 
     def _check_vacuity(self):
         """A kill storm that killed nothing, detected nothing or acked
@@ -518,74 +299,37 @@ class HostKillStorm:
         report = self.report
         report.kills = self.cluster.stats["kills"]
         report.failovers = self.cluster.stats["failovers"]
-        if report.attempted_puts == 0:
-            report.violation("vacuous:no-requests",
-                             "the storm issued zero PUTs")
-        if report.kills == 0:
-            report.violation("vacuous:no-kill",
-                             "no host was ever killed — nothing failed")
-        if report.failovers == 0:
-            report.violation(
-                "vacuous:no-failover",
-                "the victim was never evicted — neither the router's "
-                "failure detection nor the failsafe fired",
-            )
-        if report.acked_by_phase["pre"] == 0:
-            report.violation(
-                "vacuous:no-pre-kill-acks",
-                "zero puts were acked before the kill — the victim "
-                "died holding nothing worth checking",
-            )
-        if report.acked_by_phase["post"] == 0:
-            report.violation(
-                "vacuous:no-post-failover-acks",
-                "zero puts were acked after the failover — promotion "
-                "was never exercised by live traffic",
-            )
         victim_acked = sum(
             1 for loop in self._conns for key in loop.last_acked
             if key in self._victim_keys)
-        if victim_acked == 0:
-            report.violation(
-                "vacuous:victim-untouched",
-                f"no acked put landed on a shard {self.victim} owned — "
-                f"the kill endangered nothing",
-            )
-
-    # -- run ------------------------------------------------------------------
-
-    def run(self):
-        self._launch()
-        try:
-            self.sim.run_until_idle(max_events=self.max_events)
-            self._pick_victim()
-            self._second_burst()
-            self.sim.run_until_idle(max_events=self.max_events)
-            self._probe()
-        except Exception as exc:  # noqa: BLE001 — a crash IS the finding
-            self.report.crashed = exc
-            self.report.violation("crash", f"{type(exc).__name__}: {exc}")
-            self._finalize()
-            return self.report
-        self._check_oracles()
-        self._finalize()
-        return self.report
+        for vacuous, kind, detail in (
+            (report.kills == 0, "vacuous:no-kill",
+             "no host was ever killed — nothing failed"),
+            (report.failovers == 0, "vacuous:no-failover",
+             "the victim was never evicted — neither the router's failure "
+             "detection nor the failsafe fired"),
+            (report.acked_by_phase["pre"] == 0, "vacuous:no-pre-kill-acks",
+             "zero puts were acked before the kill — the victim died "
+             "holding nothing worth checking"),
+            (report.acked_by_phase["post"] == 0,
+             "vacuous:no-post-failover-acks",
+             "zero puts were acked after the failover — promotion was "
+             "never exercised by live traffic"),
+            (victim_acked == 0, "vacuous:victim-untouched",
+             f"no acked put landed on a shard {self.victim} owned — the "
+             f"kill endangered nothing"),
+        ):
+            if vacuous:
+                report.violation(kind, detail)
 
     def _finalize(self):
         totals = {}
         for node in self.cluster.nodes.values():
-            for key, value in node.replicator.stats.items():
-                if key.startswith("lag"):
-                    continue
-                totals[key] = totals.get(key, 0) + value
-            totals["applied"] = (totals.get("applied", 0)
-                                 + node.applier.stats["applied"])
-            totals["dup_suppressed"] = (totals.get("dup_suppressed", 0)
-                                        + node.applier.stats["dup_suppressed"])
+            applier = node.applier.stats
+            for key, value in dict(
+                    node.replicator.stats, applied=applier["applied"],
+                    dup_suppressed=applier["dup_suppressed"]).items():
+                if not key.startswith("lag"):
+                    totals[key] = totals.get(key, 0) + value
         self.report.repl_stats = totals
         self.report.degraded_acks = totals.get("degraded_acks", 0)
-
-
-def run_host_kill_storm(**kwargs):
-    """Convenience: build and run one kill storm; returns the report."""
-    return HostKillStorm(**kwargs).run()

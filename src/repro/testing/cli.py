@@ -18,6 +18,7 @@ Examples::
 import argparse
 import sys
 
+from repro.testing.oracle import exit_status
 from repro.testing.workloads import (
     NoveLSMWorld,
     PacketStoreWorld,
@@ -136,18 +137,9 @@ def main(argv=None):
     report = sweep.run(progress=progress)
     print(report.summary())
 
-    if args.expect_violations:
-        if report.ok:
-            print("[crashcheck] FAIL: expected violations, sweep was clean")
-            return 1
-        print(f"[crashcheck] OK: injected fault detected "
-              f"({len(report.violations)} violations, as expected)")
-        return 0
-    if not report.ok:
-        print("[crashcheck] FAIL: durability contract violated")
-        return 1
-    print("[crashcheck] OK: every crash point recovered within contract")
-    return 0
+    return exit_status(report, args.expect_violations,
+                       held="every crash point recovered within contract",
+                       broken="durability contract violated")
 
 
 if __name__ == "__main__":

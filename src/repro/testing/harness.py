@@ -33,6 +33,7 @@ import struct
 from repro.pm.namespace import NamespaceError
 from repro.storage.skiplist import SkipListCorruption, _XorShift
 
+from repro.testing.oracle import Verdict
 from repro.testing.replay import make_cursor
 
 #: Exception types a recovery may raise for a crash that predates full
@@ -67,24 +68,18 @@ class CrashScenario:
         )
 
 
-class Violation:
-    """One oracle failure at one scenario."""
+class SweepReport(Verdict):
+    """What an exhaustive sweep covered and what it found.
 
-    __slots__ = ("scenario", "oracle", "message")
+    Each violation's kind is the oracle that tripped (``recovery`` when
+    recovery itself failed); its detail names the crash scenario.
+    """
 
-    def __init__(self, scenario, oracle, message):
-        self.scenario = scenario
-        self.oracle = oracle
-        self.message = message
-
-    def __repr__(self):
-        return f"<violation {self.scenario!r} [{self.oracle}] {self.message}>"
-
-
-class SweepReport:
-    """What an exhaustive sweep covered and what it found."""
+    tag = "[crashcheck]"
+    clean = "no oracle violated at any crash point"
 
     def __init__(self, total_events, first_point):
+        super().__init__()
         self.total_events = total_events
         self.first_point = first_point
         self.crash_points = 0
@@ -92,33 +87,19 @@ class SweepReport:
         self.recoveries = 0
         self.tolerated_failures = 0
         self.per_mode = {}
-        self.violations = []
 
-    def add_violation(self, scenario, oracle, message):
-        self.violations.append(Violation(scenario, oracle, message))
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def summary(self):
+    def header(self):
         modes = ", ".join(f"{mode} {count}"
                           for mode, count in sorted(self.per_mode.items()))
-        lines = [
-            f"crash points: {self.crash_points} "
-            f"(events {self.first_point}..{self.first_point + self.crash_points - 1} "
-            f"of {self.total_events})",
-            f"scenarios: {self.scenarios} ({modes})",
-            f"recoveries: {self.recoveries}"
+        last = self.first_point + self.crash_points - 1
+        return [
+            f"[crashcheck] crash points: {self.crash_points} "
+            f"(events {self.first_point}..{last} of {self.total_events})",
+            f"[crashcheck] scenarios: {self.scenarios} ({modes})",
+            f"[crashcheck] recoveries: {self.recoveries}"
             + (f", tolerated pre-setup failures: {self.tolerated_failures}"
                if self.tolerated_failures else ""),
-            f"violations: {len(self.violations)}",
         ]
-        for violation in self.violations[:20]:
-            lines.append(f"  {violation!r}")
-        if len(self.violations) > 20:
-            lines.append(f"  … and {len(self.violations) - 20} more")
-        return "\n".join(lines)
 
     def __repr__(self):
         state = "OK" if self.ok else f"{len(self.violations)} VIOLATIONS"
@@ -237,22 +218,25 @@ class CrashSweep:
                     if k < self.trace.setup_events:
                         report.tolerated_failures += 1
                     else:
-                        report.add_violation(
-                            scenario, "recovery",
-                            f"recovery raised {type(exc).__name__}: {exc}",
+                        report.violation(
+                            "recovery",
+                            f"{scenario!r} recovery raised "
+                            f"{type(exc).__name__}: {exc}",
                         )
                     continue
                 except Exception as exc:  # noqa: BLE001 — report, don't die
-                    report.add_violation(
-                        scenario, "recovery",
-                        f"recovery crashed with {type(exc).__name__}: {exc}",
+                    report.violation(
+                        "recovery",
+                        f"{scenario!r} recovery crashed with "
+                        f"{type(exc).__name__}: {exc}",
                     )
                     continue
                 report.recoveries += 1
                 for oracle in self.oracles:
                     for message in oracle.check(recovered, scenario,
                                                 self.journal):
-                        report.add_violation(scenario, oracle.name, message)
+                        report.violation(oracle.name,
+                                         f"{scenario!r} {message}")
             if progress is not None:
                 progress(k, limit, report)
         return report

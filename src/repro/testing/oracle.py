@@ -13,6 +13,10 @@ the bundled oracles rely on two informal protocols:
   ``{key: value}`` dict (used by :class:`KVDurabilityOracle`);
 - *packet-store protocol*: ``recovered.store`` / ``.pool`` /
   ``.report`` (used by :class:`PacketStoreStructureOracle`).
+
+Every checker built on these (crash sweeps, chaos storms, soaks,
+capture rebuilds) reports through one :class:`Verdict` and exits
+through :func:`exit_status`.
 """
 
 from repro.core.pktstore import MAX_SEQ
@@ -209,3 +213,96 @@ class WalPrefixOracle(Oracle):
                 "replayed tail does not match any prefix of attempted appends"
             )
         return violations
+
+
+def refcount_mismatches(engine):
+    """The refcount-exact walk over a packet store's adopted buffers.
+
+    Once traffic has drained, the references the store holds are the
+    only thing that may pin a storage buffer.  Yields ``(slot,
+    refcount, held)`` for each buffer whose refcount differs from the
+    store's references to it; engines without a packet store yield
+    nothing.
+    """
+    store = getattr(engine, "store", None)
+    if not (hasattr(store, "_refs") and hasattr(store, "_buffers")):
+        return
+    held = {}
+    for refs in store._refs.values():
+        for buf in refs:
+            held[buf.slot] = held.get(buf.slot, 0) + 1
+    for slot, buf in store._buffers.items():
+        if buf.refcount != held.get(slot, 0):
+            yield slot, buf.refcount, held.get(slot, 0)
+
+
+# -- verdicts ------------------------------------------------------------------
+
+
+class Verdict:
+    """What one checker found: its violations and whether it passed.
+
+    A violation is a ``(kind, detail)`` pair; the kind names the oracle
+    that tripped.  Subclasses add only their own counters and the
+    :meth:`header` lines printed above the violation listing.
+    """
+
+    #: Prefix of every summary line, e.g. ``"[chaos]"``.
+    tag = "[check]"
+    #: The summary's last line when nothing was violated.
+    clean = "no violations"
+    #: Violations listed in full before the rest are counted.
+    LISTED = 10
+
+    def __init__(self):
+        self.violations = []
+
+    @property
+    def ok(self):
+        return not self.violations
+
+    def violation(self, kind, detail):
+        self.violations.append((kind, detail))
+
+    def messages(self):
+        """Each violation as one ``"kind: detail"`` string."""
+        return [f"{kind}: {detail}" for kind, detail in self.violations]
+
+    def header(self):
+        """Lines printed above the violation listing."""
+        return []
+
+    def summary(self):
+        lines = list(self.header())
+        if self.ok:
+            lines.append(f"{self.tag} {self.clean}")
+            return "\n".join(lines)
+        lines.append(f"{self.tag} {len(self.violations)} violation(s):")
+        lines.extend(f"{self.tag}   {message}"
+                     for message in self.messages()[:self.LISTED])
+        if len(self.violations) > self.LISTED:
+            lines.append(f"{self.tag}   ... "
+                         f"{len(self.violations) - self.LISTED} more")
+        return "\n".join(lines)
+
+
+def exit_status(verdict, expect_violations, held, broken):
+    """Print a checker's closing line and return its exit status.
+
+    A clean verdict exits 0 with ``held``, a violated one 1 with
+    ``broken``.  ``expect_violations`` inverts this for negative
+    controls: a planted fault must be caught, so a clean run fails.
+    """
+    found = len(verdict.violations)
+    if expect_violations:
+        if verdict.ok:
+            print(f"{verdict.tag} FAIL: expected violations, the run was "
+                  f"clean")
+            return 1
+        print(f"{verdict.tag} OK: {found} violation(s) found, as expected")
+        return 0
+    if not verdict.ok:
+        print(f"{verdict.tag} FAIL: {broken}")
+        return 1
+    print(f"{verdict.tag} OK: {held}")
+    return 0

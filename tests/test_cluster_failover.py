@@ -228,6 +228,8 @@ class TestHostKillStorm:
         assert report.acked_by_phase["post"] > 0
         assert report.stitched_families > 0
         assert report.probe_ok
+        # Every victim key carried a pre-kill ack into the promotion.
+        assert report.promotion_checked > 0
 
     def test_storm_contract_holds_primary_only(self):
         report = HostKillStorm(hosts=3, loops=6, puts_per_loop=4,
@@ -235,3 +237,27 @@ class TestHostKillStorm:
                                seed=7).run()
         assert report.crashed is None
         assert report.ok, report.summary()
+        # Primary-only acks may lose the kill window: not checked.
+        assert report.promotion_checked == 0
+
+    def test_storm_catches_a_backup_that_acks_without_applying(
+            self, monkeypatch):
+        # Negative control: the backup acks each forwarded put and
+        # applies nothing.  The second burst rewrites every victim key
+        # after the failover, so only the promotion-time read can see
+        # that the pre-kill acks were lost.
+        from repro.cluster.replication import (ReplicationApplier,
+                                               decode_repl_header,
+                                               encode_repl_ack)
+
+        def lying_apply(self, rpc, segments, ctx):
+            origin = decode_repl_header(segments[0].bytes())[0]
+            rpc.reply(encode_repl_ack(origin, 200), ctx)
+
+        monkeypatch.setattr(ReplicationApplier, "_on_repl", lying_apply)
+        report = HostKillStorm(hosts=3, loops=6, puts_per_loop=4,
+                               value_size=600, seed=3).run()
+        lost = [kind for kind, _ in report.violations
+                if kind == "durability:promotion"]
+        assert lost, report.summary()
+        assert len(lost) == report.promotion_checked

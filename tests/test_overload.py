@@ -34,7 +34,7 @@ from repro.pm.namespace import (
 from repro.sim.context import NULL_CONTEXT
 from repro.sim.engine import Simulator
 from repro.storage.kvserver import KVServer, decode_scan_body, encode_scan_body
-from repro.testing.chaos import run_overload_storm
+from repro.testing.chaos import OverloadStorm
 
 
 # -- pressure watermarks ------------------------------------------------------
@@ -505,20 +505,20 @@ class TestNamespaceDirectoryCrashSafety:
 
 class TestChaosStorm:
     def test_contained_storm_upholds_contract(self):
-        report = run_overload_storm(
+        report = OverloadStorm(
             connections=40, puts_per_conn=5, keys_per_conn=2,
             pool_slots=96, stalls=2, seed=3,
-        )
+        ).run()
         assert report.crashed is None
         assert report.ok, report.summary()
         assert report.responses.get(503, 0) > 0     # overload was real
         assert report.acked_puts > 0                # and progress happened
 
     def test_uncontained_storm_reports_violations(self):
-        report = run_overload_storm(
+        report = OverloadStorm(
             connections=40, puts_per_conn=5, keys_per_conn=2,
             pool_slots=96, stalls=2, seed=3, contain=False,
-        )
+        ).run()
         assert not report.ok
         kinds = {kind for kind, _ in report.violations}
         assert kinds & {"crash", "liveness:probe", "liveness:stalled",
@@ -528,20 +528,20 @@ class TestChaosStorm:
         # The ROADMAP open item: chaos coverage beyond tcp x 1 core.
         # Homa's storm leans on sender-timeout retransmission and
         # duplicate suppression to stay live through wire loss.
-        report = run_overload_storm(
+        report = OverloadStorm(
             transport="homa", connections=60, puts_per_conn=6,
             pool_slots=128, seed=5,
-        )
+        ).run()
         assert report.crashed is None
         assert report.ok, report.summary()
         assert report.responses.get(503, 0) > 0     # overload was real
         assert report.acked_puts > 0
 
     def test_multicore_storm_upholds_contract(self):
-        report = run_overload_storm(
+        report = OverloadStorm(
             cores=4, connections=40, puts_per_conn=5, keys_per_conn=2,
             pool_slots=96, stalls=2, seed=7,
-        )
+        ).run()
         assert report.crashed is None
         assert report.ok, report.summary()
         assert report.acked_puts > 0
@@ -549,10 +549,10 @@ class TestChaosStorm:
     def test_homa_multicore_storm_upholds_contract(self):
         # The acceptance-criteria pairing: homa transport x 4 cores,
         # oracles reading the recorder's gauges.
-        report = run_overload_storm(
+        report = OverloadStorm(
             transport="homa", cores=4, connections=60, puts_per_conn=6,
             pool_slots=128, seed=9,
-        )
+        ).run()
         assert report.crashed is None
         assert report.ok, report.summary()
         assert report.responses.get(503, 0) > 0
