@@ -16,6 +16,7 @@ from repro.core.pktstore import PacketStore
 from repro.net.http import HttpParser, build_request
 from repro.net.pool import BufferPool
 from repro.pm.namespace import PMNamespace
+from repro.storage.server import ServerConfig
 
 CRASH_AT_US = 2_345.0
 
@@ -59,7 +60,7 @@ class AuditedClient:
 
 
 def main():
-    testbed = make_testbed(engine="pktstore")
+    testbed = make_testbed(ServerConfig(engine="pktstore"))
     client = AuditedClient(testbed)
     client.start()
 

@@ -23,8 +23,7 @@ the chosen storage configuration:
 
 from repro.bench.costmodel import CostModel
 from repro.net.fabric import Fabric
-from repro.net.nic import NicFeatures
-from repro.net.stack import Host
+from repro.net.stack import POOL_SLOTS, Host
 from repro.pm.device import PMDevice
 from repro.pm.namespace import PMNamespace
 from repro.sim.engine import Simulator
@@ -69,85 +68,73 @@ class Testbed:
         return self.recorder.registry if self.recorder is not None else None
 
 
-#: Pre-config keywords make_testbed once accepted, mapped to the
-#: ServerConfig field that replaced each (for the migration error).
-_RETIRED_KWARGS = {
-    "engine": "engine",
-    "transport": "transport",
-    "server_cores": "cores",
-    "memtable_arena": "memtable_arena",
-    "engine_kwargs": "engine_kwargs",
-    "kv_kwargs": "zero_copy_get/contain_errors/overload",
-}
+def build_paste_host(sim, fabric, name, ip, *, cores, pm_bytes,
+                     paste_pool_bytes, pool_slots=POOL_SLOTS,
+                     nic_features=None, pm_device=None):
+    """The paper's server host: busy-polling PASTE stack, rx packet
+    buffers in a ``"paste-pktbufs"`` region of Optane PM.
+
+    Every world builds its server hosts here — the testbed, each
+    cluster node, a standby rebuilt from a capture and a reseeded
+    cluster node.  ``pm_device`` injects a prebuilt (e.g. recording)
+    device in place of a fresh ``pm_bytes`` one.
+
+    Returns ``(host, pm_device, pm_ns)``.
+    """
+    if pm_device is None:
+        pm_device = PMDevice(pm_bytes, name=f"{name}-pm")
+    elif not pm_device.persistent:
+        raise ValueError("injected pm_device must be persistent")
+    pm_ns = PMNamespace(pm_device)
+    host = Host(
+        sim, name, ip, fabric, CostModel.paste(), cores=cores,
+        rx_pool_region=pm_ns.create("paste-pktbufs", paste_pool_bytes),
+        pool_slots=pool_slots, busy_poll=True, nic_features=nic_features,
+    )
+    return host, pm_device, pm_ns
+
+
+def build_client(sim, fabric, nic_features=None):
+    """The paper's client host: kernel stack, interrupt-driven, all
+    :data:`CLIENT_CORES` cores (wrk runs here)."""
+    return Host(
+        sim, "client", CLIENT_IP, fabric, CostModel.kernel(),
+        cores=CLIENT_CORES, busy_poll=False, irq_latency_ns=0.0,
+        nic_features=nic_features,
+    )
 
 
 def make_testbed(config=None, *, server_features=None, client_features=None,
-                 fabric_kwargs=None, pm_bytes=PM_BYTES, paste=True,
-                 pm_device=None, paste_pool_bytes=PASTE_POOL_BYTES,
-                 **retired):
+                 fabric_kwargs=None, pm_bytes=PM_BYTES, pm_device=None,
+                 paste_pool_bytes=PASTE_POOL_BYTES):
     """Build the two-host testbed from a :class:`ServerConfig`.
 
     ``config`` is the one knob for everything server-shaped —
     transport, engine, cores, overload policy, zero-copy GET, idle
     reaper, metrics, capture.  The remaining keywords cover the *world*
-    around the server: NIC features, fabric parameters, PM
-    device/sizing, whether the rx pool lives in PM (``paste``).
-
-    The pre-config keywords (``engine=``, ``transport=``,
-    ``server_cores=``, ``memtable_arena=``, ``engine_kwargs=``,
-    ``kv_kwargs=``) are retired; passing one raises with the
-    ServerConfig field that replaced it.
+    around the server: NIC features, fabric parameters, PM device and
+    sizing.
     """
-    if retired:
-        hints = ", ".join(
-            f"{kw}= -> ServerConfig({_RETIRED_KWARGS[kw]}=...)"
-            for kw in sorted(retired) if kw in _RETIRED_KWARGS
-        )
-        unknown = sorted(kw for kw in retired if kw not in _RETIRED_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"make_testbed() got unexpected keyword(s) {unknown}"
-            )
-        raise TypeError(
-            f"make_testbed() no longer takes {sorted(retired)}; build a "
-            f"ServerConfig and pass it as config= instead: {hints} — e.g. "
-            f"make_testbed(config=ServerConfig(engine='pktstore'))"
-        )
     config = config or ServerConfig()
     config.validate()
 
     sim = Simulator()
     fabric = Fabric(sim, **(fabric_kwargs or {}))
-
-    if pm_device is None:
-        pm_device = PMDevice(pm_bytes, name="optane")
-    elif not pm_device.persistent:
-        raise ValueError("injected pm_device must be persistent")
-    pm_ns = PMNamespace(pm_device)
-
-    rx_pool_region = None
-    if paste:
-        rx_pool_region = pm_ns.create("paste-pktbufs", paste_pool_bytes)
-
-    server = Host(
-        sim, "server", SERVER_IP, fabric, CostModel.paste(),
-        cores=config.cores, rx_pool_region=rx_pool_region, busy_poll=True,
-        nic_features=server_features or NicFeatures(),
+    server, pm_device, pm_ns = build_paste_host(
+        sim, fabric, "server", SERVER_IP, cores=config.cores,
+        pm_bytes=pm_bytes, paste_pool_bytes=paste_pool_bytes,
+        nic_features=server_features, pm_device=pm_device,
     )
-    client = Host(
-        sim, "client", CLIENT_IP, fabric, CostModel.kernel(), cores=CLIENT_CORES,
-        busy_poll=False, irq_latency_ns=0.0,
-        nic_features=client_features or NicFeatures(),
-    )
+    client = build_client(sim, fabric, nic_features=client_features)
 
-    handle = serve(server, config, pm_ns=pm_ns)
+    handle = serve(server, config, pm_ns)
     if handle.capture is not None:
         # The ServerConfig covers the server; the capture also needs the
         # *world* sizing (PM, rx pool) so a standby rebuilds into the
         # same pressure envelope (pool eviction is part of history).
         handle.capture.meta.update({
-            "pm_bytes": pm_bytes,
-            "paste_pool_bytes": paste_pool_bytes if paste else None,
+            "pm_bytes": pm_device.size,
+            "paste_pool_bytes": paste_pool_bytes,
         })
     if handle.recorder is not None:
         # The testbed owns both ends of the wire, so the registry can

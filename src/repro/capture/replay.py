@@ -37,8 +37,9 @@ swaps it onto the dead host's fabric port and revives it in the ring.
 """
 
 import hashlib
+from dataclasses import replace
 
-from repro.bench.costmodel import CostModel
+from repro.bench.testbed import PASTE_POOL_BYTES, PM_BYTES, build_paste_host
 from repro.bench.workloads import TrafficSource
 from repro.capture.format import Capture
 from repro.net.fabric import Fabric
@@ -52,19 +53,11 @@ from repro.net.headers import (
     TCPHeader,
     ip_to_int,
 )
-from repro.net.nic import NicFeatures
-from repro.net.stack import Host
-from repro.pm.device import PMDevice
-from repro.pm.namespace import PMNamespace
 from repro.sim.context import NULL_CONTEXT
 from repro.sim.engine import Simulator
 from repro.storage.engines import direct_put
 from repro.storage.server import ServerConfig, serve
 from repro.testing.oracle import KVDurabilityOracle, Verdict
-
-#: Default world sizing for rebuilt standbys; mirrors the testbed's.
-PM_BYTES = 192 << 20
-PASTE_POOL_BYTES = 16 << 20
 
 DEFAULT_MAX_EVENTS = 50_000_000
 
@@ -116,7 +109,7 @@ def config_from_meta(meta):
     if not recorded:
         raise ValueError(
             "capture has no server_config meta — record it through "
-            "ServerConfig(capture=True) or pass config= explicitly"
+            "ServerConfig(capture=True)"
         )
     return ServerConfig(
         transport=recorded.get("transport", "tcp"),
@@ -155,60 +148,39 @@ class Standby:
         return f"<Standby {self.injected} frames replayed>"
 
 
-def rebuild_standby(capture, config=None, server_ip=None,
-                    pm_bytes=None, paste_pool_bytes=None,
-                    run=True, max_events=DEFAULT_MAX_EVENTS):
+def rebuild_standby(capture, max_events=DEFAULT_MAX_EVENTS):
     """Rebuild a warm standby *from the capture alone*.
 
     Builds a fresh simulator + fabric + PM + host from the capture's
-    embedded config (or ``config=``), injects every frame addressed to
+    embedded config and world sizing, injects every frame addressed to
     the captured server, and runs the simulator until the replayed
     protocol exchange drains.  No state from the live run is consulted
     — what the standby knows, the capture told it.
     """
     meta = capture.meta or {}
-    if config is None:
-        config = config_from_meta(meta)
-    if config.capture:
-        # The standby must not re-capture its own rebuild.
-        config = config.with_overrides(
-            capture=False, capture_max_frames=None, capture_max_bytes=None,
-        )
-    config.validate()
+    # The standby must not re-capture its own rebuild.
+    config = replace(config_from_meta(meta), capture=False)
+    server_ip = meta.get("server_ip")
     if server_ip is None:
-        server_ip = meta.get("server_ip")
-    if server_ip is None:
-        raise ValueError("capture meta has no server_ip; pass server_ip=")
-    server_ip = ip_to_int(server_ip)
-    # World sizing comes from the capture too: pool pressure (and its
-    # evictions) is part of the history being replayed.
-    if pm_bytes is None:
-        pm_bytes = meta.get("pm_bytes") or PM_BYTES
-    if paste_pool_bytes is None:
-        paste_pool_bytes = meta.get("paste_pool_bytes", PASTE_POOL_BYTES)
+        raise ValueError("capture meta has no server_ip")
 
     sim = Simulator()
     # A private fabric with a single port: the standby's replies target
     # clients that do not exist here and blackhole, like a LAN would.
     fabric = Fabric(sim)
-    pm_device = PMDevice(pm_bytes, name="standby-pm")
-    pm_ns = PMNamespace(pm_device)
-    rx_pool_region = None
-    if paste_pool_bytes is not None:
-        rx_pool_region = pm_ns.create("paste-pktbufs", paste_pool_bytes)
-    host = Host(
-        sim, meta.get("server_name", "standby"), server_ip, fabric,
-        CostModel.paste(), cores=config.cores,
-        rx_pool_region=rx_pool_region, busy_poll=True,
-        nic_features=NicFeatures(),
+    # World sizing comes from the capture too: pool pressure (and its
+    # evictions) is part of the history being replayed.
+    host, _pm_device, pm_ns = build_paste_host(
+        sim, fabric, meta.get("server_name", "standby"), server_ip,
+        cores=config.cores, pm_bytes=meta.get("pm_bytes") or PM_BYTES,
+        paste_pool_bytes=meta.get("paste_pool_bytes") or PASTE_POOL_BYTES,
     )
-    server = serve(host, config, pm_ns=pm_ns)
+    server = serve(host, config, pm_ns)
 
     echo = Capture(meta={"rebuild_of": capture.digest()})
-    injected = inject(capture, host, dst_ip=server_ip, echo=echo)
+    injected = inject(capture, host, echo=echo)
     standby = Standby(sim, fabric, host, server, injected, echo)
-    if run:
-        sim.run_until_idle(max_events=max_events)
+    sim.run_until_idle(max_events=max_events)
     return standby
 
 
@@ -616,7 +588,7 @@ def verify_reseed(cluster, standby_engine, dead_name, full_ring=None):
 
     if full_ring is None:
         full_ring = HashRing(list(cluster.nodes),
-                             vnodes=cluster.config.vnodes)
+                             vnodes=cluster.ring.vnodes)
     standby_map = store_mapping(standby_engine)
     survivor_maps = {
         name: store_mapping(cluster.nodes[name].engine)
@@ -676,10 +648,8 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
 
     Returns a :class:`ReseedReport`.
     """
-    from repro.cluster.backoff import Backoff
     from repro.cluster.hashring import HashRing
-    from repro.cluster.replication import ReplicationApplier, Replicator
-    from repro.cluster.topology import ClusterContext, ClusterNode
+    from repro.cluster.topology import build_node
 
     config = cluster.config
     if capture is None:
@@ -695,33 +665,11 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
     killed_at = cluster.killed_at.get(dead_name)
 
     sim = cluster.sim
-    private = Fabric(sim)
-    pm_device = PMDevice(config.pm_bytes, name=f"{dead_name}-reseed-pm")
-    pm_ns = PMNamespace(pm_device)
-    rx_region = pm_ns.create("paste-pktbufs", config.paste_pool_bytes)
-    host = Host(
-        sim, dead_name, node.ip, private, CostModel.paste(),
-        cores=config.cores, rx_pool_region=rx_region,
-        pool_slots=config.pool_slots, busy_poll=True,
-        nic_features=NicFeatures(),
-    )
-    replicator = Replicator(
-        host, config.repl_port,
-        backoff=config.backoff if config.backoff is not None else Backoff(),
-    )
     peer_ips = {name: n.ip for name, n in cluster.nodes.items()}
-    cluster_ctx = ClusterContext(
-        node_name=dead_name, replicator=replicator, route=cluster.ring.route,
-        peer_ips=peer_ips, ack_policy=config.ack_policy,
-    )
-    server_config = ServerConfig(
-        transport="homa", engine=config.engine, port=config.port,
-        cores=config.cores, contain_errors=config.contain_errors,
-        overload=config.overload, ack_policy=config.ack_policy,
-        engine_kwargs=dict(config.engine_kwargs),
-    )
-    handle = serve(host, server_config, pm_ns=pm_ns, cluster=cluster_ctx)
-    applier = ReplicationApplier(handle.kv, config.repl_port)
+    standby_node = build_node(config, config.server_config(), sim,
+                              Fabric(sim), dead_name, node.ip,
+                              cluster.ring.route, peer_ips)
+    host = standby_node.host
 
     # Phase 1: replay the corpse's own delivered history (client puts
     # AND the replication stream it applied as a backup), shifted so
@@ -737,7 +685,7 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
 
     # Phase 2: catch up the post-kill delta from the survivors' inbound
     # client traffic, for every shard the revived node participates in.
-    full_ring = HashRing(list(cluster.nodes), vnodes=config.vnodes)
+    full_ring = HashRing(list(cluster.nodes), vnodes=cluster.ring.vnodes)
     caught_up = 0
     if killed_at is not None:
         tail = Capture(meta=dict(capture.meta))
@@ -748,12 +696,12 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
             key_bytes = key.encode("utf-8")
             if dead_name not in full_ring.route(key_bytes):
                 continue
-            if _apply_op(handle.engine, method, key_bytes, value):
+            if _apply_op(standby_node.engine, method, key_bytes, value):
                 caught_up += 1
 
     # Phase 3: the standby must agree with every promoted primary.
-    violations, checked = verify_reseed(cluster, handle.engine, dead_name,
-                                        full_ring)
+    violations, checked = verify_reseed(cluster, standby_node.engine,
+                                        dead_name, full_ring)
 
     # Phase 4: take over the dead host's fabric port and rejoin.
     attached = False
@@ -761,18 +709,12 @@ def reseed_from_capture(cluster, dead_name, capture=None, attach=True,
         cluster.fabric.replace(host.nic)
         host.nic.fabric = cluster.fabric
         cluster.ring.mark_alive(dead_name)
-        replicator.reset_suspicion()
+        standby_node.replicator.reset_suspicion()
         for survivor in cluster.alive_nodes():
             survivor.replicator.reset_suspicion()
-        new_node = ClusterNode(dead_name, node.ip, host, handle, replicator,
-                               applier, pm_device, pm_ns)
-        cluster.nodes[dead_name] = new_node
+        cluster.nodes[dead_name] = standby_node
         cluster.killed_at.pop(dead_name, None)
         attached = True
-        standby_node = new_node
-    else:
-        standby_node = ClusterNode(dead_name, node.ip, host, handle,
-                                   replicator, applier, pm_device, pm_ns)
 
     report = ReseedReport(dead_name, standby_node, injected, caught_up,
                           checked, attached)

@@ -30,23 +30,23 @@ node from packets alone and re-attaches it to the ring
 
 from dataclasses import dataclass, field
 
-from repro.bench.costmodel import CostModel
+from repro.bench.testbed import build_client, build_paste_host
 from repro.cluster.backoff import Backoff
 from repro.cluster.hashring import HashRing
 from repro.cluster.replication import ReplicationApplier, Replicator
 from repro.net.fabric import Fabric
 from repro.net.http import HttpError, HttpParser
-from repro.net.nic import NicFeatures
-from repro.net.stack import Host
-from repro.pm.device import PMDevice
-from repro.pm.namespace import PMNamespace
 from repro.sim.context import NULL_CONTEXT
 from repro.sim.engine import Simulator
 from repro.storage.kvserver import HomaKVServer, _status_of
 from repro.storage.server import ServerConfig, serve
 
-CLIENT_IP = "10.0.0.2"
-CLIENT_CORES = 12
+#: Every node runs the packet-native store.
+ENGINE = "pktstore"
+#: Virtual nodes per host on the consistent-hash ring.
+VNODES = 32
+#: Per-node rx packet-buffer region in PM.
+PASTE_POOL_BYTES = 8 << 20
 
 ACK_POLICIES = ("sync", "primary-only")
 
@@ -64,40 +64,23 @@ class ClusterConfig:
     """
 
     hosts: int = 3
-    vnodes: int = 32
     cores: int = 1
-    engine: str = "pktstore"
     ack_policy: str = "sync"
     port: int = 80
     repl_port: int = 81
     backoff: object = None          # Backoff instance; None = defaults
     metrics: bool = True
-    overload: object = None
-    contain_errors: bool = True
     pm_bytes: int = 96 << 20
-    paste_pool_bytes: int = 8 << 20
     pool_slots: int = 2048
-    client_cores: int = CLIENT_CORES
-    fabric_kwargs: dict = field(default_factory=dict)
     engine_kwargs: dict = field(default_factory=dict)
     #: Record the whole fabric's delivered frame stream (repro.capture).
     #: The capture is fabric-wide — every node's rx history — so a dead
     #: node can be rebuilt from it (replay.reseed_from_capture).
     capture: bool = False
-    capture_max_frames: int = None
-    capture_max_bytes: int = None
 
     def validate(self):
         if self.hosts < 1:
             raise ValueError(f"hosts must be >= 1, got {self.hosts}")
-        for bound in ("capture_max_frames", "capture_max_bytes"):
-            value = getattr(self, bound)
-            if value is not None and value <= 0:
-                raise ValueError(f"{bound} must be positive (or None)")
-        if (self.capture_max_frames is not None or
-                self.capture_max_bytes is not None) and not self.capture:
-            raise ValueError(
-                "capture_max_frames/capture_max_bytes need capture=True")
         if self.ack_policy not in ACK_POLICIES:
             raise ValueError(
                 f"ack_policy {self.ack_policy!r} not in {ACK_POLICIES}")
@@ -106,6 +89,14 @@ class ClusterConfig:
         if self.backoff is not None and not isinstance(self.backoff, Backoff):
             raise TypeError("backoff must be a repro.cluster.Backoff or None")
         return self
+
+    def server_config(self):
+        """The :class:`ServerConfig` every node's front-end runs."""
+        return ServerConfig(
+            transport="homa", engine=ENGINE, port=self.port,
+            cores=self.cores, ack_policy=self.ack_policy,
+            engine_kwargs=dict(self.engine_kwargs),
+        )
 
 
 class ClusterContext:
@@ -418,19 +409,45 @@ class Cluster:
         return f"<Cluster {alive}/{len(self.nodes)} alive>"
 
 
-def build_cluster(config=None, **overrides):
+def build_node(config, server_config, sim, fabric, name, ip, route,
+               peer_ips, recorder=None):
+    """One cluster node: a PASTE host, its replicator, the cluster-mode
+    front-end and the backup-side applier.
+
+    ``recorder`` (the cluster's shared one) attaches every piece; a
+    reseeded node passes none and registers no gauges.
+    """
+    host, pm_device, pm_ns = build_paste_host(
+        sim, fabric, name, ip, cores=config.cores, pm_bytes=config.pm_bytes,
+        paste_pool_bytes=PASTE_POOL_BYTES, pool_slots=config.pool_slots,
+    )
+    replicator = Replicator(host, config.repl_port, backoff=config.backoff,
+                            recorder=recorder)
+    cluster_ctx = ClusterContext(
+        node_name=name, replicator=replicator, route=route,
+        peer_ips=peer_ips, ack_policy=config.ack_policy,
+    )
+    handle = serve(host, server_config, pm_ns, cluster=cluster_ctx)
+    applier = ReplicationApplier(handle.kv, config.repl_port)
+    if recorder is not None:
+        recorder.attach_host(host, name)
+        recorder.attach_server(handle.kv, role=name)
+        recorder.attach_engine(handle.engine, role=f"{name}.engine")
+        recorder.attach_replicator(replicator, role=f"{name}.repl")
+        recorder.attach_applier(applier, role=f"{name}.repl.apply")
+    return ClusterNode(name, ip, host, handle, replicator, applier,
+                       pm_device, pm_ns)
+
+
+def build_cluster(config):
     """Build the whole topology from a :class:`ClusterConfig`."""
-    if config is None:
-        config = ClusterConfig(**overrides)
-    elif overrides:
-        raise TypeError("pass either config= or field overrides, not both")
     config.validate()
 
     sim = Simulator()
-    fabric = Fabric(sim, **dict(config.fabric_kwargs))
+    fabric = Fabric(sim)
     names = [f"s{i}" for i in range(config.hosts)]
     ips = {name: f"10.0.1.{i + 1}" for i, name in enumerate(names)}
-    ring = HashRing(names, vnodes=config.vnodes)
+    ring = HashRing(names, vnodes=VNODES)
 
     recorder = None
     if config.metrics:
@@ -438,52 +455,15 @@ def build_cluster(config=None, **overrides):
 
         recorder = Recorder(sim=sim)
 
-    client = Host(
-        sim, "client", CLIENT_IP, fabric, CostModel.kernel(),
-        cores=config.client_cores, busy_poll=False, irq_latency_ns=0.0,
-        nic_features=NicFeatures(),
-    )
+    client = build_client(sim, fabric)
     client.enable_homa()
 
-    server_config = ServerConfig(
-        transport="homa", engine=config.engine, port=config.port,
-        cores=config.cores, contain_errors=config.contain_errors,
-        overload=config.overload, ack_policy=config.ack_policy,
-        engine_kwargs=dict(config.engine_kwargs),
-    )
-
-    nodes = {}
-    for name in names:
-        pm_device = PMDevice(config.pm_bytes, name=f"{name}-pm")
-        pm_ns = PMNamespace(pm_device)
-        rx_region = pm_ns.create("paste-pktbufs", config.paste_pool_bytes)
-        host = Host(
-            sim, name, ips[name], fabric, CostModel.paste(),
-            cores=config.cores, rx_pool_region=rx_region,
-            pool_slots=config.pool_slots, busy_poll=True,
-            nic_features=NicFeatures(),
-        )
-        replicator = Replicator(
-            host, config.repl_port,
-            backoff=config.backoff if config.backoff is not None else Backoff(),
-            recorder=recorder,
-        )
-        cluster_ctx = ClusterContext(
-            node_name=name, replicator=replicator, route=ring.route,
-            peer_ips=ips, ack_policy=config.ack_policy,
-        )
-        handle = serve(host, server_config, pm_ns=pm_ns, cluster=cluster_ctx)
-        applier = ReplicationApplier(handle.kv, config.repl_port)
-        if recorder is not None:
-            recorder.attach_host(host, name)
-            recorder.attach_server(handle.kv, role=name)
-            recorder.attach_engine(handle.engine, role=f"{name}.engine")
-            recorder.attach_replicator(replicator, role=f"{name}.repl")
-            recorder.attach_applier(applier, role=f"{name}.repl.apply")
-            if handle.overload is not None:
-                recorder.attach_overload(handle.overload, role=f"{name}.overload")
-        nodes[name] = ClusterNode(name, ips[name], host, handle, replicator,
-                                  applier, pm_device, pm_ns)
+    server_config = config.server_config()
+    nodes = {
+        name: build_node(config, server_config, sim, fabric, name, ips[name],
+                         ring.route, ips, recorder=recorder)
+        for name in names
+    }
 
     if recorder is not None:
         recorder.attach_host(client, "client")
@@ -495,16 +475,15 @@ def build_cluster(config=None, **overrides):
         from repro.net.headers import ip_to_int
 
         capture_tap = CaptureTap(
-            fabric, max_frames=config.capture_max_frames,
-            max_bytes=config.capture_max_bytes,
+            fabric,
             meta={
                 "cluster": {
-                    "hosts": config.hosts, "vnodes": config.vnodes,
-                    "cores": config.cores, "engine": config.engine,
+                    "hosts": config.hosts, "vnodes": VNODES,
+                    "cores": config.cores, "engine": ENGINE,
                     "ack_policy": config.ack_policy, "port": config.port,
                     "repl_port": config.repl_port,
                     "pm_bytes": config.pm_bytes,
-                    "paste_pool_bytes": config.paste_pool_bytes,
+                    "paste_pool_bytes": PASTE_POOL_BYTES,
                     "pool_slots": config.pool_slots,
                     "engine_kwargs": dict(config.engine_kwargs),
                 },

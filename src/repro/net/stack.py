@@ -479,11 +479,15 @@ class NetworkStack:
         return self.host.cpus[0]
 
 
+#: Default packet-buffer slots per pool (tx, and rx when not in PM).
+POOL_SLOTS = 8192
+
+
 class Host:
     """A machine: cores + NIC + stack + memory, on the simulated fabric."""
 
     def __init__(self, sim, name, ip, fabric, costs, cores=1,
-                 rx_pool_region=None, pool_slots=8192, slot_size=2048,
+                 rx_pool_region=None, pool_slots=POOL_SLOTS, slot_size=2048,
                  busy_poll=True, irq_latency_ns=2000.0, nic_features=None):
         self.sim = sim
         self.name = name

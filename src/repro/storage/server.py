@@ -1,25 +1,21 @@
 """Unified server construction: one config, one entry point.
 
-Before this module, standing up a server meant knowing which kwargs
-each front-end took (``KVServer(zero_copy_get=...)`` vs
-``HomaKVServer`` without it), building the engine through the bench
-harness's private ``_make_engine``, wiring an
-:class:`~repro.core.overload.OverloadController` by hand, remembering
-``stack.enable_idle_reaper`` is TCP-only, and — new in this PR —
-attaching a :class:`~repro.obs.trace.Recorder` to every piece.
-:func:`serve` folds all of that behind a :class:`ServerConfig`::
+:func:`serve` stands a KV server up on an already-built host — the
+engine (:func:`build_engine`), the TCP or Homa front-end, the
+optional :class:`~repro.core.overload.OverloadController`, idle
+reaper, :class:`~repro.obs.trace.Recorder` and capture tap — all from
+one :class:`ServerConfig`::
 
     from repro.storage import ServerConfig, serve
 
     config = ServerConfig(transport="homa", engine="pktstore",
                           cores=4, overload=True, metrics=True)
-    server = serve(host, config, pm_ns=pm_ns)
+    server = serve(host, config, pm_ns)
     server.kv        # the KVServer / HomaKVServer front-end
     server.metrics   # MetricsRegistry (None when metrics=False)
 
-The old constructors remain as the implementation layer (and for
-existing callers); new code, the testbed and the chaos harness go
-through :func:`serve`.
+The host itself comes from :func:`repro.bench.testbed.build_paste_host`
+(``make_testbed`` and the cluster builders call both).
 """
 
 from dataclasses import dataclass, field, replace
@@ -156,10 +152,6 @@ class ServerConfig:
                 )
         return self
 
-    def with_overrides(self, **kwargs):
-        """A copy with the given fields replaced (dataclasses.replace)."""
-        return replace(self, **kwargs)
-
 
 class Server:
     """What :func:`serve` returns: the front-end plus its wiring."""
@@ -232,29 +224,20 @@ def build_engine(name, host, pm_ns=None, memtable_arena=48 << 20,
     raise ValueError(f"unknown engine {name!r}")
 
 
-def serve(host, config=None, pm_ns=None, engine=None, recorder=None,
-          cluster=None, **overrides):
+def serve(host, config, pm_ns, cluster=None):
     """Stand up a KV server on ``host`` as described by ``config``.
 
-    - ``engine`` injects a pre-built engine instance (``config.engine``
-      then only labels it); otherwise :func:`build_engine` runs.
-    - ``recorder`` reuses an existing :class:`~repro.obs.trace.Recorder`
-      (the testbed's, so client and fabric share the registry) instead
-      of creating one; it implies metrics even if the config says off.
-    - ``cluster`` (a :class:`~repro.cluster.topology.ClusterContext`)
-      selects the cluster-mode front-end: the server becomes one shard
-      of a replicated cluster, forwarding primary-owned puts to its
-      backup per ``config.ack_policy``.  Requires ``transport="homa"``.
-    - keyword ``overrides`` tweak a shared config ad hoc:
-      ``serve(host, config, port=8080)``.
+    ``pm_ns`` (a :class:`~repro.pm.namespace.PMNamespace`) backs the
+    PM engines.  ``cluster`` (a
+    :class:`~repro.cluster.topology.ClusterContext`) selects the
+    cluster-mode front-end: the server becomes one shard of a
+    replicated cluster, forwarding primary-owned puts to its backup per
+    ``config.ack_policy``.  Requires ``transport="homa"``.
 
     Returns a :class:`Server` handle.
     """
-    config = (config or ServerConfig())
-    if overrides:
-        config = config.with_overrides(**overrides)
     if cluster is not None and config.ack_policy is None:
-        config = config.with_overrides(ack_policy=cluster.ack_policy)
+        config = replace(config, ack_policy=cluster.ack_policy)
     config.validate()
     if cluster is not None and config.transport != "homa":
         raise ValueError("cluster mode requires transport='homa'")
@@ -265,10 +248,9 @@ def serve(host, config=None, pm_ns=None, engine=None, recorder=None,
             f"the same config (make_testbed(config=...)) or align them"
         )
 
-    if engine is None:
-        engine = build_engine(config.engine, host, pm_ns=pm_ns,
-                              memtable_arena=config.memtable_arena,
-                              engine_kwargs=config.engine_kwargs)
+    engine = build_engine(config.engine, host, pm_ns=pm_ns,
+                          memtable_arena=config.memtable_arena,
+                          engine_kwargs=config.engine_kwargs)
 
     overload = config.overload
     if overload is True:
@@ -294,11 +276,11 @@ def serve(host, config=None, pm_ns=None, engine=None, recorder=None,
         if config.reaper_idle_ns is not None:
             host.stack.enable_idle_reaper(config.reaper_idle_ns)
 
-    if recorder is None and config.metrics:
+    recorder = None
+    if config.metrics:
         from repro.obs.trace import Recorder
 
         recorder = Recorder(sim=host.sim, trace_capacity=config.trace_capacity)
-    if recorder is not None:
         recorder.attach_host(host, "server")
         recorder.attach_server(kv)
         recorder.attach_engine(engine)

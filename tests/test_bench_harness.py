@@ -2,13 +2,19 @@
 
 import pytest
 
+from repro.bench.costmodel import CostModel
 from repro.bench.report import format_table, pct_delta, us
 from repro.bench.testbed import make_testbed, preload
 from repro.bench.wrk import WrkClient, WrkStats
+from repro.net.fabric import Fabric
+from repro.net.stack import Host
+from repro.pm.device import PMDevice
+from repro.pm.namespace import PMNamespace
 from repro.sim import ExecutionContext
 from repro.sim.context import FilterContext
+from repro.sim.engine import Simulator
 from repro.sim.units import MICROS, MILLIS, SECONDS, ns_to_us, us as us_units
-from repro.storage.server import ServerConfig
+from repro.storage.server import ServerConfig, build_engine
 
 
 class TestUnits:
@@ -103,13 +109,15 @@ class TestTestbed:
         assert not testbed.client.paste_mode
         assert len(testbed.client.cpus) == 12
 
-    def test_non_paste_testbed(self):
-        testbed = make_testbed(ServerConfig(engine="null"), paste=False)
-        assert not testbed.server.paste_mode
-
     def test_pktstore_requires_paste(self):
-        with pytest.raises(ValueError):
-            make_testbed(ServerConfig(engine="pktstore"), paste=False)
+        # A host whose rx pool sits in DRAM cannot back a PacketStore.
+        sim = Simulator()
+        host = Host(sim, "dram-rx", "10.0.0.9", Fabric(sim),
+                    CostModel.paste())
+        assert not host.paste_mode
+        pm_ns = PMNamespace(PMDevice(64 << 20))
+        with pytest.raises(ValueError, match="PASTE"):
+            build_engine("pktstore", host, pm_ns=pm_ns)
 
     def test_preload_steady_state(self):
         testbed = make_testbed(ServerConfig(engine="novelsm"))

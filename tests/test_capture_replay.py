@@ -12,6 +12,8 @@ The tentpole guarantees, end to end:
   reproduces the original operation stream and final store.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.testbed import make_testbed
@@ -128,7 +130,7 @@ class TestCaptureAsWorkload:
         source = CaptureSource(capture)
         assert source.total_ops > 0
 
-        config = config_from_meta(capture.meta).with_overrides(capture=True)
+        config = replace(config_from_meta(capture.meta), capture=True)
         replay_bed = make_testbed(config=config)
         wrk = WrkClient(replay_bed.client, replay_bed.server.ip,
                         connections=source.loops, duration_ns=1e15,

@@ -1,18 +1,11 @@
-"""The unified server API: ServerConfig + serve() and the testbed shim."""
+"""The unified server API: ServerConfig + serve() and make_testbed."""
 
 import pytest
 
 from repro.bench.testbed import SERVER_IP, make_testbed
 from repro.bench.wrk import HomaWrkClient, WrkClient
 from repro.core.overload import OverloadController
-from repro.storage import (
-    ENGINES,
-    TRANSPORTS,
-    Server,
-    ServerConfig,
-    build_engine,
-    serve,
-)
+from repro.storage import ENGINES, TRANSPORTS, ServerConfig, serve
 from repro.storage.kvserver import HomaKVServer, KVServer
 
 
@@ -43,13 +36,6 @@ class TestServerConfig:
     def test_bad_reaper_threshold_rejected(self):
         with pytest.raises(ValueError, match="reaper"):
             ServerConfig(reaper_idle_ns=0).validate()
-
-    def test_with_overrides_copies(self):
-        base = ServerConfig(engine="pktstore")
-        derived = base.with_overrides(cores=4, metrics=True)
-        assert derived.engine == "pktstore"
-        assert derived.cores == 4 and derived.metrics
-        assert base.cores == 1 and not base.metrics
 
     def test_engine_and_transport_tables(self):
         assert "novelsm" in ENGINES and "pktstore" in ENGINES
@@ -97,25 +83,10 @@ class TestServe:
         assert testbed.fabric.recorder is testbed.recorder
         assert testbed.kv.recorder is testbed.recorder
 
-    def test_serve_overrides_kwargs(self):
-        testbed = make_testbed(config=ServerConfig())
-        server = serve(testbed.server, ServerConfig(engine="null"),
-                       port=8080)
-        assert isinstance(server, Server)
-        assert server.config.port == 8080
-
-    def test_engine_injection_skips_build(self):
-        testbed = make_testbed(config=ServerConfig())
-        prebuilt = build_engine("null", testbed.server)
-        server = serve(testbed.server, ServerConfig(engine="null"),
-                       engine=prebuilt, port=81)
-        assert server.engine is prebuilt
-
 
 class TestRetiredKwargs:
-    """The pre-config keywords are gone: the error must say which
-    ServerConfig field replaced each, so old call sites migrate from
-    the traceback alone."""
+    """``make_testbed`` takes a ServerConfig (positionally or as
+    ``config=``); the pre-config keywords are plain unknown keywords."""
 
     def test_config_positionally(self):
         testbed = make_testbed(ServerConfig(engine="null", cores=2))
@@ -127,18 +98,6 @@ class TestRetiredKwargs:
         testbed = make_testbed()
         assert testbed.config.engine == "novelsm"
         assert testbed.config.cores == 1
-
-    def test_retired_engine_kwarg_names_replacement(self):
-        with pytest.raises(TypeError, match=r"ServerConfig\(engine=\.\.\.\)"):
-            make_testbed(engine="null")
-
-    def test_retired_server_cores_kwarg_names_replacement(self):
-        with pytest.raises(TypeError, match=r"ServerConfig\(cores=\.\.\.\)"):
-            make_testbed(server_cores=2)
-
-    def test_retired_kv_kwargs_names_replacement(self):
-        with pytest.raises(TypeError, match="zero_copy_get"):
-            make_testbed(kv_kwargs={"zero_copy_get": True})
 
     def test_unknown_kwarg_still_plain_typeerror(self):
         with pytest.raises(TypeError, match="unexpected keyword"):
